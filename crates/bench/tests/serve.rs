@@ -111,6 +111,28 @@ fn hostile_streams_become_error_rows_never_a_dead_server() {
 }
 
 #[test]
+fn saturating_contention_is_an_invalid_config_row_not_a_panic() {
+    // Dual-port has 16 banks: lockstep's unit streams at phases 9 and 17
+    // claim every cycle of every bank, so no grant search could end.
+    let input = concat!(
+        "{\"id\":\"sat\",\"kernel\":1,\"machine\":\"dual-port\",",
+        "\"config\":{\"contention\":\"lockstep:3\"}}\n",
+        "{\"id\":\"ok\",\"kernel\":1,\"config\":{\"contention\":\"lockstep:3\"}}\n",
+    );
+    let (rows, summary) = serve_once(input, &[]);
+    let sat = row_by_id(&rows, "sat");
+    assert_eq!(field_str(sat, "error_kind"), Some("invalid_config"));
+    assert!(
+        field_str(sat, "message").is_some_and(|m| m.contains("every cycle of bank")),
+        "{sat}"
+    );
+    assert_eq!(field_num(sat, "attempts"), Some(0.0));
+    assert_eq!(sat.get("poisoned"), Some(&Json::Bool(false)));
+    assert_eq!(field_str(row_by_id(&rows, "ok"), "status"), Some("ok"));
+    assert_eq!(field_num(&summary, "invalid"), Some(1.0));
+}
+
+#[test]
 fn served_rows_are_bit_identical_to_in_process_evaluation() {
     let lines = [
         "{\"id\":\"base\",\"kernel\":1}",

@@ -325,7 +325,9 @@ fn main() -> ExitCode {
             println!("{}", figures::fig1(suite));
         }
         if want("fig3") {
-            eprintln!("measuring the loaded-machine (multi-process) runs...");
+            eprintln!(
+                "measuring the loaded-machine (multi-process) runs: one unprobed run per kernel..."
+            );
             emit_table(&figures::fig3(suite), "fig3.csv");
             println!("{}", figures::fig3_bars(suite));
         }

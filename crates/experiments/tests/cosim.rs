@@ -175,3 +175,19 @@ fn report_bands_hold_end_to_end() {
         }
     }
 }
+
+/// The four-CPU mixes, pinned exactly: per-CPU cycles and the machine's
+/// shared access count.
+#[test]
+fn four_cpu_mixes_are_pinned() {
+    let sim = SimConfig::c240().with_cpus(4);
+    for (mix, cycles, accesses) in [
+        (Mix::Lockstep, [92384.0, 92392.0, 92400.0, 92408.0], 320320),
+        (Mix::Mixed, [96485.2, 105385.2, 54428.65, 47183.2], 179823),
+    ] {
+        let report = run_cosim(&sim, mix);
+        let got: Vec<f64> = report.rows.iter().map(|r| r.cycles).collect();
+        assert_eq!(got, cycles, "{mix}");
+        assert_eq!(report.shared_accesses, accesses, "{mix}");
+    }
+}

@@ -54,11 +54,18 @@ impl ContentionStream {
             .expect("duty must be a fraction <= 1")
     }
 
-    /// If this stream claims bank `bank` at any point during
-    /// `[t, t + window)`, returns the end cycle of the blocking claim.
+    /// If this stream claims bank `bank` at any point during the grant
+    /// cycle `[t, t + 1)`, returns the end cycle of the blocking claim.
     ///
     /// Claims occur at cycles `c` with `(phase + c·stride) ≡ bank (mod
-    /// banks)`, each lasting `claim_len` cycles.
+    /// banks)`, each lasting `claim_len` cycles. A stride sharing a
+    /// factor with `banks` has no solution here and never blocks.
+    ///
+    /// This is the reference solver. A [`MemorySystem`] grants through a
+    /// schedule solved once per bank at construction, which must agree
+    /// with it exactly.
+    ///
+    /// [`MemorySystem`]: crate::MemorySystem
     ///
     /// # Panics
     ///
@@ -69,13 +76,25 @@ impl ContentionStream {
     pub fn blocking_claim_end(&self, bank: u32, banks: u32, t: f64, claim_len: f64) -> Option<f64> {
         assert!(self.stride % 2 == 1, "contention stride must be odd");
         let m = u64::from(banks);
-        // Solve phase + c*stride ≡ bank (mod m) for c.
         let inv = mod_inverse(self.stride % m, m)?;
+        self.claim_end_from(self.first_visit(bank, m, inv), m, t, claim_len)
+    }
+
+    /// The cycle in `0..banks` of the stream's first visit to `bank`:
+    /// the solution `c` of `phase + c·stride ≡ bank (mod banks)`, given
+    /// `inv = stride⁻¹ mod banks`. Visits to `bank` repeat every `banks`
+    /// cycles after it.
+    fn first_visit(&self, bank: u32, m: u64, inv: u64) -> u64 {
         let target = (u64::from(bank) + m - self.phase % m) % m;
-        let c0 = (target * inv) % m;
-        // Visits to `bank` happen at cycles c0, c0+m, c0+2m, ...
-        // Find the latest visit starting at or before t+claim... we need any
-        // claim window [v, v+claim_len) intersecting [t, t+1) (grant cycle).
+        (target * inv) % m
+    }
+
+    /// [`ContentionStream::blocking_claim_end`] for a bank whose first
+    /// visit cycle `c0` is already solved.
+    fn claim_end_from(&self, c0: u64, m: u64, t: f64, claim_len: f64) -> Option<f64> {
+        // Visits to the bank happen at cycles c0, c0+m, c0+2m, ...; a
+        // claim window [v, v+claim_len) blocks the grant cycle [t, t+1)
+        // when the two intersect.
         let tt = t.max(0.0);
         let k = ((tt - c0 as f64) / m as f64).floor();
         for kk in [k - 1.0, k, k + 1.0] {
@@ -209,19 +228,161 @@ impl ContentionConfig {
         })
     }
 
+    /// The first bank that background claims saturate: every integer
+    /// cycle of one steady-state [`pattern_period`] falls inside an active
+    /// claim, as the grant search sees claims, so a request to that bank
+    /// could never be granted. `None` when no bank saturates.
+    ///
+    /// A load bound screens most configurations out before any bank is
+    /// examined: each stream covers at most a `duty · min(claim_len,
+    /// 2·banks) / banks` share of a bank's cycles, so below a total share
+    /// of 1 some cycle stays free. Patterns too long to check within
+    /// [`SATURATION_CHECK_BUDGET`] intervals per bank also return `None`;
+    /// the grant search's convergence guard remains their backstop, as it
+    /// does for refresh windows that happen to cover a bank's only free
+    /// cycles.
+    ///
+    /// [`pattern_period`]: ContentionConfig::pattern_period
+    pub(crate) fn saturated_bank(&self, banks: u32, claim_len: u64) -> Option<u32> {
+        let m = u64::from(banks);
+        if self.streams.is_empty() || m == 0 {
+            return None;
+        }
+        // A visit blocks the grant search for `min(claim_len, 2m)` cycles:
+        // the solver only looks one visit back.
+        let len = claim_len.min(2 * m);
+        let load: f64 = self
+            .streams
+            .iter()
+            .map(|s| f64::from(s.duty_num) / f64::from(s.duty_den) * len as f64 / m as f64)
+            .sum();
+        if load < 1.0 - 1e-9 {
+            return None;
+        }
+        let period = self.streams.iter().try_fold(1u64, |acc, s| {
+            let p = m.checked_mul(u64::from(s.duty_den))?;
+            (acc / crate::gcd(acc, p)).checked_mul(p)
+        })?;
+        let per_bank = (period / m + 3).checked_mul(self.streams.len() as u64)?;
+        if per_bank > SATURATION_CHECK_BUDGET {
+            return None;
+        }
+        let schedule = ContentionSchedule::new(self, banks);
+        (0..banks).find(|&bank| schedule.saturates(bank, len, period))
+    }
+}
+
+/// Upper bound on the claim intervals [`ContentionConfig::saturated_bank`]
+/// examines per bank.
+const SATURATION_CHECK_BUDGET: u64 = 1 << 16;
+
+/// A [`ContentionConfig`] solved for one bank count: each stream's first
+/// visit cycle to each bank. A [`MemorySystem`] builds it once, since its
+/// stream set and bank count are fixed, so a grant search step costs a
+/// table lookup plus O(1) arithmetic per stream instead of the
+/// extended-Euclid solve in [`ContentionStream::blocking_claim_end`].
+///
+/// [`MemorySystem`]: crate::MemorySystem
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ContentionSchedule {
+    /// Streams whose stride is coprime to the bank count. The reference
+    /// solver finds no visits for the others, so they never block and are
+    /// left out.
+    streams: Vec<ContentionStream>,
+    /// Bank count.
+    banks: u64,
+    /// `first_visit[bank · streams.len() + i]`: stream `i`'s first visit
+    /// to `bank`, in `0..banks`.
+    first_visit: Vec<u32>,
+}
+
+impl ContentionSchedule {
+    /// Solves `config` for `banks` banks.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an even stride, as the reference solver does.
+    pub(crate) fn new(config: &ContentionConfig, banks: u32) -> Self {
+        let m = u64::from(banks);
+        if m == 0 {
+            return ContentionSchedule::default();
+        }
+        let solved: Vec<(ContentionStream, u64)> = config
+            .streams
+            .iter()
+            .filter_map(|s| {
+                assert!(s.stride % 2 == 1, "contention stride must be odd");
+                Some((*s, mod_inverse(s.stride % m, m)?))
+            })
+            .collect();
+        let first_visit = (0..banks)
+            .flat_map(|bank| {
+                solved
+                    .iter()
+                    .map(move |(s, inv)| s.first_visit(bank, m, *inv) as u32)
+            })
+            .collect();
+        ContentionSchedule {
+            streams: solved.into_iter().map(|(s, _)| s).collect(),
+            banks: m,
+            first_visit,
+        }
+    }
+
     /// The end of the latest claim blocking a grant to `bank` at cycle
-    /// `t`, if any stream blocks it.
-    pub fn blocking_claim_end(&self, bank: u32, banks: u32, t: f64, claim_len: f64) -> Option<f64> {
+    /// `t`, if any stream blocks it: the maximum of every stream's
+    /// [`ContentionStream::blocking_claim_end`].
+    pub(crate) fn blocking_claim_end(&self, bank: u32, t: f64, claim_len: f64) -> Option<f64> {
+        if self.streams.is_empty() {
+            return None;
+        }
         self.streams
             .iter()
-            .filter_map(|s| s.blocking_claim_end(bank, banks, t, claim_len))
+            .zip(self.row(bank))
+            .filter_map(|(s, &c0)| s.claim_end_from(u64::from(c0), self.banks, t, claim_len))
             .fold(None, |acc, end| Some(acc.map_or(end, |a: f64| a.max(end))))
+    }
+
+    /// Every stream's first visit to `bank`, in stream order.
+    fn row(&self, bank: u32) -> &[u32] {
+        let n = self.streams.len();
+        &self.first_visit[bank as usize * n..][..n]
+    }
+
+    /// Whether visits blocking `len` cycles each cover every integer
+    /// cycle of the steady-state window `[2·banks, 2·banks + period)`.
+    /// From cycle `2·banks` on every visit the solver looks back to
+    /// exists, so the pattern repeats with `period`.
+    fn saturates(&self, bank: u32, len: u64, period: u64) -> bool {
+        let m = self.banks;
+        let start = 2 * m;
+        let end = start + period;
+        let mut claims: Vec<(u64, u64)> = Vec::new();
+        for (s, &c0) in self.streams.iter().zip(self.row(bank)) {
+            let c0 = u64::from(c0);
+            for k in ((start - c0) / m).saturating_sub(2)..=(end - c0) / m {
+                if s.visit_active(k) {
+                    let v = c0 + k * m;
+                    claims.push((v, v + len));
+                }
+            }
+        }
+        claims.sort_unstable();
+        let mut covered = start;
+        for (from, to) in claims {
+            if from > covered {
+                break;
+            }
+            covered = covered.max(to);
+        }
+        covered >= end
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TestRng;
 
     #[test]
     fn mod_inverse_works() {
@@ -295,13 +456,106 @@ mod tests {
         let _ = s.blocking_claim_end(0, 32, 0.0, 8.0);
     }
 
+    /// The reference answer for a whole configuration: the latest end
+    /// over every stream's own solve.
+    fn reference_claim_end(
+        cfg: &ContentionConfig,
+        bank: u32,
+        banks: u32,
+        t: f64,
+        claim_len: f64,
+    ) -> Option<f64> {
+        cfg.streams()
+            .iter()
+            .filter_map(|s| s.blocking_claim_end(bank, banks, t, claim_len))
+            .fold(None, |acc, end| Some(acc.map_or(end, |a: f64| a.max(end))))
+    }
+
+    fn random_config(rng: &mut TestRng, max_den: u64) -> ContentionConfig {
+        (0..rng.range(1, 4)).fold(ContentionConfig::idle(), |cfg, _| {
+            let den = rng.range(1, max_den);
+            cfg.with_stream(
+                ContentionStream {
+                    stride: 2 * rng.range(0, 5_000) + 1,
+                    phase: rng.range(0, 1_000_000),
+                    duty_num: 1,
+                    duty_den: 1,
+                }
+                .with_duty(rng.range(0, den) as u32, den as u32),
+            )
+        })
+    }
+
     #[test]
     fn config_blocking_takes_max() {
         let cfg = ContentionConfig::idle()
             .with_stream(ContentionStream::unit(0))
             .with_stream(ContentionStream::unit(1));
         // Bank 5: stream A claims [5,13), stream B claims [4,12).
-        let end = cfg.blocking_claim_end(5, 32, 5.0, 8.0).unwrap();
-        assert_eq!(end, 13.0);
+        let end = ContentionSchedule::new(&cfg, 32).blocking_claim_end(5, 5.0, 8.0);
+        assert_eq!(end, Some(13.0));
+        assert_eq!(end, reference_claim_end(&cfg, 5, 32, 5.0, 8.0));
+    }
+
+    #[test]
+    fn schedule_matches_the_reference_solver() {
+        for seed in 0..300u64 {
+            let mut rng = TestRng::new(seed);
+            let banks = if rng.range(0, 1) == 0 {
+                rng.range(1, 64)
+            } else {
+                rng.range(1, u64::from(crate::MAX_BANKS))
+            } as u32;
+            let cfg = random_config(&mut rng, 12);
+            let claim_len = rng.range(1, 16) as f64;
+            let schedule = ContentionSchedule::new(&cfg, banks);
+            for _ in 0..200 {
+                let bank = rng.range(0, u64::from(banks) - 1) as u32;
+                // On the 1/20-cycle grid.
+                let t = rng.range(0, 20 * 200_000) as f64 / 20.0;
+                assert_eq!(
+                    schedule.blocking_claim_end(bank, t, claim_len),
+                    reference_claim_end(&cfg, bank, banks, t, claim_len),
+                    "seed {seed}: bank {bank}/{banks} at t={t}, claim {claim_len}, {cfg:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn saturation_matches_a_cycle_by_cycle_scan() {
+        let mut saturated = 0;
+        for seed in 0..400u64 {
+            let mut rng = TestRng::new(seed);
+            let banks = rng.range(1, 16) as u32;
+            let claim_len = rng.range(1, 10);
+            let cfg = random_config(&mut rng, 4);
+            // Scan one steady-state period cycle by cycle with the
+            // reference solver.
+            let m = u64::from(banks);
+            let period = cfg.pattern_period(banks);
+            let scan = (0..banks).find(|&bank| {
+                (2 * m..2 * m + period).all(|c| {
+                    reference_claim_end(&cfg, bank, banks, c as f64, claim_len as f64).is_some()
+                })
+            });
+            assert_eq!(
+                cfg.saturated_bank(banks, claim_len),
+                scan,
+                "seed {seed}: {banks} banks, claim {claim_len}, {cfg:?}"
+            );
+            saturated += usize::from(scan.is_some());
+        }
+        assert!(saturated > 20, "only {saturated} saturated cases drawn");
+    }
+
+    #[test]
+    fn lockstep_saturates_sixteen_banks_but_not_thirty_two() {
+        // Unit streams at phases 9 and 17 claim [b-9, b-1) and [b-1, b+7)
+        // of every 16 cycles: together, all of them.
+        assert_eq!(ContentionConfig::lockstep(3).saturated_bank(16, 8), Some(0));
+        assert_eq!(ContentionConfig::lockstep(3).saturated_bank(32, 8), None);
+        assert_eq!(ContentionConfig::mixed(3).saturated_bank(16, 8), None);
+        assert_eq!(ContentionConfig::idle().saturated_bank(16, 8), None);
     }
 }

@@ -40,7 +40,7 @@ mod validate;
 pub use cache::{CacheConfig, ScalarCache};
 pub use contention::{ContentionConfig, ContentionStream};
 pub use system::{BankState, MemConfig, MemorySystem, WaitBreakdown};
-pub use validate::{MemConfigError, MAX_BANKS, MAX_WORDS};
+pub use validate::{MemConfigError, MAX_BANKS, MAX_CONTENTION_STREAMS, MAX_WORDS};
 
 /// Word-granular bank index for an address under a given interleave.
 ///
@@ -83,6 +83,30 @@ pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
         b = t;
     }
     a
+}
+
+/// Deterministic xorshift generator for this crate's property tests: every
+/// case derives from a printed seed, so a failure reproduces exactly.
+#[cfg(test)]
+pub(crate) struct TestRng(u64);
+
+#[cfg(test)]
+impl TestRng {
+    pub(crate) fn new(seed: u64) -> Self {
+        TestRng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+    }
+
+    pub(crate) fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// Uniform in `lo..=hi`.
+    pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.next() % (hi - lo + 1)
+    }
 }
 
 #[cfg(test)]

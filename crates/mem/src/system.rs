@@ -13,7 +13,9 @@
 //!
 //! [`ContentionStream`]: crate::ContentionStream
 
-use crate::contention::ContentionConfig;
+use std::collections::VecDeque;
+
+use crate::contention::{ContentionConfig, ContentionSchedule};
 use crate::{bank_of, gcd};
 
 /// Grid points per cycle of the machine's timing quantum. Private copy of
@@ -114,9 +116,11 @@ pub struct BankState {
     /// foreign claim are charged to contention, not bank-busy.
     owner: Vec<u32>,
     /// Multiport mode only: each bank's outstanding claim windows as
-    /// `(start, owner)` pairs sorted by start (every claim lasts the
-    /// configured bank-busy time). Empty in single-port mode.
-    claims: Vec<Vec<(f64, u32)>>,
+    /// `(start, owner)` pairs sorted by start. Every claim lasts the
+    /// configured bank-busy time, so the ends are sorted too, and grant
+    /// searches keep the windows pairwise disjoint. Empty in single-port
+    /// mode.
+    claims: Vec<VecDeque<(f64, u32)>>,
     /// Whether grant searches fit into idle windows *between* claims
     /// (multiport co-sim) or only after the latest claim (single-port).
     multiport: bool,
@@ -161,7 +165,7 @@ impl BankState {
     /// earliest order (any single port) the two modes grant identically.
     pub fn multiport(banks: u32) -> Self {
         BankState {
-            claims: vec![Vec::new(); banks as usize],
+            claims: vec![VecDeque::new(); banks as usize],
             multiport: true,
             ..BankState::new(banks)
         }
@@ -222,6 +226,8 @@ impl BankState {
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     config: MemConfig,
+    /// `config.contention` solved for `config.banks`.
+    contention: ContentionSchedule,
     data: Vec<f64>,
     bank: BankState,
     view: u32,
@@ -257,10 +263,16 @@ impl WaitBreakdown {
 
 impl MemorySystem {
     /// Creates a zero-filled memory with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a contention stream with an even stride (see
+    /// [`MemConfig::validate`]).
     pub fn new(config: MemConfig) -> Self {
         let banks = config.banks;
         let words = config.words;
         MemorySystem {
+            contention: ContentionSchedule::new(&config.contention, banks),
             config,
             data: vec![0.0; words],
             bank: BankState::new(banks),
@@ -414,8 +426,12 @@ impl MemorySystem {
         let earliest = q(earliest.max(0.0));
         let busy = self.config.bank_busy as f64;
         if self.bank.multiport {
+            // Claims ending at or before the horizon are dead; with the
+            // ends sorted they form a prefix.
             let horizon = self.bank.horizon;
-            self.bank.claims[bank].retain(|&(s, _)| q(s + busy) > horizon);
+            let claims = &mut self.bank.claims[bank];
+            let dead = claims.partition_point(|&(s, _)| q(s + busy) <= horizon);
+            claims.drain(..dead);
         }
         let mut t = earliest;
         let mut guard = 0u32;
@@ -430,10 +446,13 @@ impl MemorySystem {
                 // Window fit: slide past the first claim overlapping
                 // [t, t+busy), charging the displacement to its owner's
                 // category, and retry (idle windows between later claims
-                // remain usable).
-                let hit = self.bank.claims[bank]
-                    .iter()
-                    .find(|&&(s, _)| s < q(t + busy) && q(s + busy) > t)
+                // remain usable). With starts and ends sorted, only the
+                // first claim ending after t can be that claim.
+                let claims = &self.bank.claims[bank];
+                let first_live = claims.partition_point(|&(s, _)| q(s + busy) <= t);
+                let hit = claims
+                    .get(first_live)
+                    .filter(|&&(s, _)| s < q(t + busy))
                     .copied();
                 if let Some((s, owner)) = hit {
                     let end = q(s + busy);
@@ -475,12 +494,7 @@ impl MemorySystem {
                     continue;
                 }
             }
-            if let Some(end) = self.config.contention.blocking_claim_end(
-                bank as u32,
-                self.config.banks,
-                t,
-                self.config.bank_busy as f64,
-            ) {
+            if let Some(end) = self.contention.blocking_claim_end(bank as u32, t, busy) {
                 self.breakdown.contention = q(self.breakdown.contention + (end - t));
                 self.bank.breakdown.contention = q(self.bank.breakdown.contention + (end - t));
                 t = q(end);
@@ -619,7 +633,7 @@ impl MemorySystem {
             // each bank's claim list sorted.
             let mut bank = base.rem_euclid(banks);
             for e in 0..n {
-                self.bank.claims[bank as usize].push((q(start + z * e as f64), self.view));
+                self.bank.claims[bank as usize].push_back((q(start + z * e as f64), self.view));
                 bank = (bank + step) % banks;
             }
         }
@@ -896,5 +910,146 @@ mod tests {
         assert_eq!(total.contention, sum_cont);
         assert_eq!(shared.access_count(), a.access_count() + b.access_count());
         assert_eq!(shared.wait_cycles(), a.wait_cycles() + b.wait_cycles());
+    }
+
+    #[test]
+    #[should_panic(expected = "did not converge")]
+    fn saturating_contention_trips_the_grant_guard() {
+        // `MemConfig::validate` rejects this configuration; a memory system
+        // built from it anyway still stops instead of spinning forever.
+        let cfg = MemConfig::c240()
+            .with_banks(16)
+            .with_contention(ContentionConfig::lockstep(3));
+        let _ = MemorySystem::new(cfg).read(0, 0.0);
+    }
+
+    /// Linear-scan multiport arbitration: the per-grant `retain` over a
+    /// bank's claims and the first-overlap `find` that the indexed grant
+    /// search replaces, with contention answered by the reference solver.
+    struct LinearBanks {
+        cfg: MemConfig,
+        claims: Vec<Vec<(f64, u32)>>,
+        horizon: f64,
+        waits: Vec<WaitBreakdown>,
+    }
+
+    impl LinearBanks {
+        fn grant(&mut self, view: u32, addr: u64, earliest: f64) -> f64 {
+            let bank = bank_of(addr, self.cfg.banks) as usize;
+            let earliest = q(earliest.max(0.0));
+            let busy = self.cfg.bank_busy as f64;
+            let horizon = self.horizon;
+            self.claims[bank].retain(|&(s, _)| q(s + busy) > horizon);
+            let w = &mut self.waits[view as usize];
+            let mut t = earliest;
+            loop {
+                let hit = self.claims[bank]
+                    .iter()
+                    .find(|&&(s, _)| s < q(t + busy) && q(s + busy) > t)
+                    .copied();
+                if let Some((s, owner)) = hit {
+                    let end = q(s + busy);
+                    if owner == view {
+                        w.bank_busy = q(w.bank_busy + (end - t));
+                    } else {
+                        w.contention = q(w.contention + (end - t));
+                    }
+                    t = end;
+                    continue;
+                }
+                if self.cfg.refresh_enabled {
+                    let len = self.cfg.refresh_len as f64;
+                    if t.rem_euclid(self.cfg.refresh_period as f64) < len {
+                        w.refresh = q(w.refresh + len);
+                        t = q(t + len);
+                        continue;
+                    }
+                }
+                let end = self
+                    .cfg
+                    .contention
+                    .streams()
+                    .iter()
+                    .filter_map(|s| s.blocking_claim_end(bank as u32, self.cfg.banks, t, busy))
+                    .fold(None, |acc, e| Some(acc.map_or(e, |a: f64| a.max(e))));
+                if let Some(end) = end {
+                    w.contention = q(w.contention + (end - t));
+                    t = q(end);
+                    continue;
+                }
+                break;
+            }
+            let pos = self.claims[bank].partition_point(|&(s, _)| s <= t);
+            self.claims[bank].insert(pos, (t, view));
+            t
+        }
+    }
+
+    #[test]
+    fn multiport_grant_matches_the_linear_scan() {
+        for seed in 0..120u64 {
+            let mut rng = crate::TestRng::new(seed);
+            let banks = [4u32, 8, 16, 32][rng.range(0, 3) as usize];
+            let mut cfg = MemConfig::c240().with_banks(banks).with_words(4096);
+            cfg.bank_busy = rng.range(1, 12);
+            cfg.refresh_enabled = rng.range(0, 1) == 1;
+            cfg.refresh_period = rng.range(40, 400);
+            cfg.refresh_len = rng.range(1, 8);
+            for _ in 0..rng.range(0, 2) {
+                let den = rng.range(2, 6) as u32;
+                cfg.contention = cfg.contention.with_stream(ContentionStream {
+                    stride: 2 * rng.range(0, 20) + 1,
+                    phase: rng.range(0, 100),
+                    duty_num: 1,
+                    duty_den: den,
+                });
+            }
+            let views = rng.range(2, 4) as usize;
+            let mut ports: Vec<MemorySystem> = (0..views)
+                .map(|v| {
+                    let mut m = MemorySystem::new(cfg.clone());
+                    m.set_view(v as u32);
+                    m
+                })
+                .collect();
+            let mut shared = BankState::multiport(banks);
+            let mut reference = LinearBanks {
+                claims: vec![Vec::new(); banks as usize],
+                horizon: 0.0,
+                waits: vec![WaitBreakdown::default(); views],
+                cfg,
+            };
+            let mut clock = vec![0.0f64; views];
+            for i in 0..3_000u32 {
+                // Views take turns out of timestamp order, and each view
+                // sometimes asks for a cycle behind its own clock.
+                let v = rng.range(0, views as u64 - 1) as usize;
+                let addr = rng.range(0, 4095);
+                let earliest = q(clock[v] - rng.range(0, 400) as f64 / 20.0).max(0.0);
+                ports[v].swap_bank_state(&mut shared);
+                let (granted, _) = ports[v].read(addr, earliest);
+                ports[v].swap_bank_state(&mut shared);
+                let expected = reference.grant(v as u32, addr, earliest);
+                assert_eq!(granted, expected, "seed {seed}, request {i}");
+                clock[v] = q(granted + rng.range(0, 60) as f64 / 20.0);
+                if i % 16 == 15 {
+                    // Every later request starts at least 20 cycles below
+                    // its view's clock.
+                    let h = clock.iter().copied().fold(f64::INFINITY, f64::min) - 20.0;
+                    shared.set_horizon(h);
+                    reference.horizon = reference.horizon.max(h);
+                }
+            }
+            for (v, port) in ports.iter().enumerate() {
+                assert_eq!(
+                    port.wait_breakdown(),
+                    reference.waits[v],
+                    "seed {seed}, view {v}"
+                );
+            }
+            let live: usize = shared.claims.iter().map(VecDeque::len).sum();
+            let expected_live: usize = reference.claims.iter().map(Vec::len).sum();
+            assert_eq!(live, expected_live, "seed {seed}: horizon pruning");
+        }
     }
 }

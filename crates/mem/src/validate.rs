@@ -24,6 +24,12 @@ pub const MAX_BANKS: u32 = 4096;
 /// The C-240 configuration uses 1 Mi words (8 MiB).
 pub const MAX_WORDS: usize = 1 << 27;
 
+/// Largest accepted number of background contention streams. A memory
+/// system solves every stream's visits to every bank when it is built,
+/// so the cap (with [`MAX_BANKS`]) bounds that table. The C-240 has three
+/// neighbor CPUs and an I/O port.
+pub const MAX_CONTENTION_STREAMS: usize = 64;
+
 /// A constraint violation in [`MemConfig`], [`CacheConfig`], or a
 /// [`ContentionStream`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,6 +69,17 @@ pub enum MemConfigError {
     },
     /// A contention stream with `duty_den == 0`.
     ZeroDutyDenominator,
+    /// More contention streams than [`MAX_CONTENTION_STREAMS`].
+    TooManyContentionStreams {
+        /// The offending count.
+        streams: usize,
+    },
+    /// Background contention claims every cycle of a bank, so a request
+    /// to it would never be granted.
+    SaturatedBank {
+        /// The first saturated bank.
+        bank: u32,
+    },
     /// A contention stream claiming more than every visit
     /// (`duty_num > duty_den`).
     DutyAboveOne {
@@ -120,6 +137,15 @@ impl fmt::Display for MemConfigError {
             MemConfigError::ZeroDutyDenominator => {
                 write!(f, "contention duty denominator must be positive")
             }
+            MemConfigError::TooManyContentionStreams { streams } => write!(
+                f,
+                "{streams} contention streams exceed the maximum of {MAX_CONTENTION_STREAMS}"
+            ),
+            MemConfigError::SaturatedBank { bank } => write!(
+                f,
+                "background contention claims every cycle of bank {bank}, \
+                 so memory would never grant it"
+            ),
             MemConfigError::DutyAboveOne { num, den } => {
                 write!(f, "contention duty {num}/{den} must be a fraction <= 1")
             }
@@ -207,12 +233,17 @@ impl ContentionStream {
 }
 
 impl ContentionConfig {
-    /// Checks every configured stream (see [`ContentionStream::validate`]).
+    /// Checks the stream count and every configured stream (see
+    /// [`ContentionStream::validate`]).
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), MemConfigError> {
+        let streams = self.streams().len();
+        if streams > MAX_CONTENTION_STREAMS {
+            return Err(MemConfigError::TooManyContentionStreams { streams });
+        }
         self.streams()
             .iter()
             .try_for_each(ContentionStream::validate)
@@ -265,7 +296,11 @@ impl MemConfig {
         if self.words > MAX_WORDS {
             return Err(MemConfigError::TooManyWords { words: self.words });
         }
-        self.contention.validate()
+        self.contention.validate()?;
+        match self.contention.saturated_bank(self.banks, self.bank_busy) {
+            Some(bank) => Err(MemConfigError::SaturatedBank { bank }),
+            None => Ok(()),
+        }
     }
 
     /// Fallible form of [`MemConfig::with_banks`].
@@ -382,6 +417,50 @@ mod tests {
             .try_with_stream(ContentionStream::unit(3))
             .unwrap();
         assert_eq!(cfg.streams().len(), 1);
+    }
+
+    #[test]
+    fn saturating_contention_is_rejected() {
+        // 16 banks: lockstep's unit streams at phases 9 and 17 claim every
+        // cycle of every bank between them.
+        let sixteen = MemConfig::c240().with_banks(16);
+        assert_eq!(
+            sixteen
+                .clone()
+                .with_contention(ContentionConfig::lockstep(3))
+                .validate(),
+            Err(MemConfigError::SaturatedBank { bank: 0 })
+        );
+        assert_eq!(
+            sixteen
+                .with_contention(ContentionConfig::mixed(3))
+                .validate(),
+            Ok(())
+        );
+        assert_eq!(
+            MemConfig::c240()
+                .with_contention(ContentionConfig::lockstep(3))
+                .validate(),
+            Ok(())
+        );
+        assert!(MemConfigError::SaturatedBank { bank: 3 }
+            .to_string()
+            .contains("bank 3"));
+    }
+
+    #[test]
+    fn contention_stream_count_is_capped() {
+        let many = ContentionConfig::mixed(MAX_CONTENTION_STREAMS + 1);
+        assert_eq!(
+            many.validate(),
+            Err(MemConfigError::TooManyContentionStreams {
+                streams: MAX_CONTENTION_STREAMS + 1
+            })
+        );
+        assert_eq!(
+            ContentionConfig::mixed(MAX_CONTENTION_STREAMS).validate(),
+            Ok(())
+        );
     }
 
     #[test]
