@@ -2,20 +2,31 @@
 //!
 //! ```text
 //! macs-bench [OUT_DIR]        (default: results)
-//! macs-bench --serve [--journal FILE] [--resume FILE] [--workers N]
-//!            [--deadline-ms N] [--max-attempts N] [--backoff-ms N]
-//!            [--backoff-cap-ms N] [--jitter-seed N] [--machine PRESET]
-//!            [--max-line-bytes N] [--read-timeout-ms N]
-//!            [--listen ADDR | --unix PATH]
-//!            [--metrics] [--trace-out FILE] [--spans-out FILE]
-//!            [--snapshot-every N] [--roofline]
-//! macs-bench --coordinate [--fleet N] [--journal FILE] [--resume FILE]
+//! macs-bench --serve [SHARED] [--workers N] [--deadline-ms N]
+//!            [--max-attempts N] [--backoff-ms N] [--backoff-cap-ms N]
+//!            [--jitter-seed N] [--machine PRESET] [--snapshot-every N]
+//!            [--roofline]
+//! macs-bench --coordinate [SHARED] [--fleet N] [--worker-program PATH]
 //!            [--lease-ms N] [--queue-max N] [--chaos kill=N,hang=N,corrupt=N]
 //!            [--jitter-seed N] [--restart-backoff-ms N]
-//!            [--restart-backoff-cap-ms N] [--max-line-bytes N]
-//!            [--read-timeout-ms N] [--listen ADDR | --unix PATH] [--metrics]
-//!            [-- WORKER_FLAGS...]
+//!            [--restart-backoff-cap-ms N] [-- WORKER_FLAGS...]
+//!
+//! SHARED:    [--journal FILE] [--resume FILE] [--max-line-bytes N]
+//!            [--read-timeout-ms N] [--listen ADDR | --unix PATH]
+//!            [--metrics] [--trace-out FILE] [--spans-out FILE]
 //! ```
+//!
+//! Both service modes share one front end (DESIGN.md §13, module
+//! [`listen`](mod@macs_bench::listen)): the SHARED flags mean the same
+//! in both and are parsed once. With `--listen`/`--unix` one listener
+//! serves the socket: a connection is either a `GET /metrics` scrape or
+//! a sweep request stream, at most [`macs_bench::MAX_CONNECTIONS`]
+//! connections are live at once (the next gets one `overloaded` row and
+//! is closed), request lines and scrape headers are capped at
+//! `--max-line-bytes`, and every socket gets the `--read-timeout-ms`
+//! read timeout. Without a socket the mode serves one stream from stdin
+//! to stdout. A malformed command line exits 1 with a message before
+//! anything starts.
 //!
 //! `--coordinate` runs the multi-tenant sweep coordinator (DESIGN.md
 //! §17, [`macs_bench::coordinate`]): a fleet of `--fleet` spawned
@@ -28,13 +39,14 @@
 //!
 //! `--serve` turns the binary into the fault-tolerant sweep server
 //! (see [`macs_bench::serve`]): newline-delimited JSON sweep points in
-//! on stdin (or the given TCP/Unix socket), result rows out on stdout,
-//! one summary row at end of stream. `--journal` checkpoints every
-//! completed point; `--resume` re-emits already-computed rows verbatim
-//! and evaluates only the rest, so a killed sweep loses at most its
-//! in-flight points. `--machine` picks the base machine preset the
-//! sweep evaluates against (default `c240`); individual points may
-//! still name their own preset via the protocol's `machine` field.
+//! on stdin (or the given TCP/Unix socket, one stream at a time),
+//! result rows out on stdout, one summary row at end of stream.
+//! `--journal` checkpoints every completed point; `--resume` re-emits
+//! already-computed rows verbatim and evaluates only the rest, so a
+//! killed sweep loses at most its in-flight points. `--machine` picks
+//! the base machine preset the sweep evaluates against (default
+//! `c240`); individual points may still name their own preset via the
+//! protocol's `machine` field.
 //!
 //! `--metrics` enables the observability plane: spans, a metrics
 //! registry served as Prometheus text on `GET /metrics` over the
@@ -77,16 +89,23 @@
 //! The binary exits nonzero if any kernel's fast-forward run diverges
 //! from its element-stepped run.
 
+use std::io::{self, BufReader, Stdin, StdoutLock};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use c240_isa::{MachineDescription, PRESET_NAMES};
 use c240_obs::json::Json;
-use c240_obs::{CounterProbe, StallCause};
+use c240_obs::{CounterProbe, StallCause, SweepOutcomes};
 use c240_sim::{Cpu, Machine, SimConfig};
+use macs_bench::listen::{StreamInput, StreamOutput};
 use macs_bench::timing::Bench;
-use macs_bench::{serve, ChaosSpec, CoordinateOptions, ServeObs, ServeOptions};
+use macs_bench::{
+    coordinate, listen, serve, ChaosSpec, CoordinateOptions, Coordinator, Endpoint, ServeObs,
+    ServeOptions,
+};
 
 /// Observability overhead budgets, checked by the harness and
 /// documented in DESIGN.md §14. `MACS_BENCH_OVERHEAD_CHECK=0` downgrades
@@ -218,233 +237,232 @@ fn ff_row(kernel: &dyn lfk_suite::LfkKernel, sim: &SimConfig, scale: i64) -> Res
         .field("speedup", exact_ns as f64 / ff_ns.max(1) as f64))
 }
 
-/// Parses the `--serve` flag set into [`ServeOptions`] plus the optional
-/// socket to listen on. Returns an error message on unknown or malformed
-/// flags — the server must not start half-configured.
-fn parse_serve_args(
-    args: &[String],
-) -> Result<(ServeOptions, Option<String>, Option<PathBuf>), String> {
-    let mut opts = ServeOptions::default();
-    let mut listen: Option<String> = None;
-    let mut unix: Option<PathBuf> = None;
-    let mut machine: Option<String> = None;
-    let mut metrics = false;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut spans_out: Option<PathBuf> = None;
-    let mut snapshot_every: usize = 8;
-    let mut it = args.iter();
-    fn value<'a>(
-        it: &mut impl Iterator<Item = &'a String>,
-        flag: &str,
-    ) -> Result<&'a String, String> {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
+/// The flags after `--serve`/`--coordinate`, consumed one at a time.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    fn value(&mut self, flag: &str) -> Result<&'a String, String> {
+        self.0.next().ok_or_else(|| format!("{flag} needs a value"))
     }
-    fn number<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
+
+    fn path(&mut self, flag: &str) -> Result<PathBuf, String> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    fn number<T: FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        let raw = self.value(flag)?;
         raw.parse()
             .map_err(|_| format!("{flag} needs a non-negative integer, got {raw:?}"))
     }
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--journal" => opts.journal = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--resume" => opts.resume = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--workers" => opts.workers = number(value(&mut it, flag)?, flag)?,
-            "--deadline-ms" => {
-                opts.deadline = Some(Duration::from_millis(number(value(&mut it, flag)?, flag)?))
+
+    fn millis(&mut self, flag: &str) -> Result<Duration, String> {
+        self.number(flag).map(Duration::from_millis)
+    }
+}
+
+/// The flags both service modes share, parsed once.
+#[derive(Default)]
+struct Front {
+    journal: Option<PathBuf>,
+    resume: Option<PathBuf>,
+    max_line_bytes: usize,
+    read_timeout: Option<Duration>,
+    endpoint: Option<Endpoint>,
+    obs: Option<ServeObs>,
+}
+
+impl Front {
+    /// Parses a service mode's flags: the shared ones here, the rest
+    /// through `own`, which returns `Ok(false)` for a flag it does not
+    /// know. The service must not start half-configured, so any
+    /// unknown or malformed flag is an error.
+    fn parse(
+        mode: &str,
+        args: &[String],
+        mut own: impl FnMut(&str, &mut Flags<'_>) -> Result<bool, String>,
+    ) -> Result<Front, String> {
+        let defaults = ServeOptions::default();
+        let mut front = Front {
+            max_line_bytes: defaults.max_line_bytes,
+            read_timeout: defaults.read_timeout,
+            ..Front::default()
+        };
+        let (mut tcp, mut unix, mut metrics) = (None, None, false);
+        let (mut trace_out, mut spans_out) = (None, None);
+        let mut flags = Flags(args.iter());
+        while let Some(flag) = flags.0.next() {
+            match flag.as_str() {
+                "--journal" => front.journal = Some(flags.path(flag)?),
+                "--resume" => front.resume = Some(flags.path(flag)?),
+                "--max-line-bytes" => front.max_line_bytes = flags.number::<usize>(flag)?.max(1),
+                "--read-timeout-ms" => {
+                    front.read_timeout = Some(flags.millis(flag)?).filter(|t| !t.is_zero())
+                }
+                "--listen" => tcp = Some(Endpoint::Tcp(flags.value(flag)?.clone())),
+                "--unix" => unix = Some(Endpoint::Unix(flags.path(flag)?)),
+                "--metrics" => metrics = true,
+                "--trace-out" => trace_out = Some(flags.path(flag)?),
+                "--spans-out" => spans_out = Some(flags.path(flag)?),
+                other if own(other, &mut flags)? => {}
+                other => return Err(format!("unknown {mode} flag {other:?}")),
             }
-            "--max-attempts" => {
-                opts.retry.max_attempts = number::<u32>(value(&mut it, flag)?, flag)?.max(1)
-            }
-            "--backoff-ms" => {
-                opts.retry.backoff_base =
-                    Duration::from_millis(number(value(&mut it, flag)?, flag)?)
-            }
-            "--backoff-cap-ms" => {
-                opts.retry.backoff_cap = Duration::from_millis(number(value(&mut it, flag)?, flag)?)
-            }
-            "--jitter-seed" => opts.retry.jitter_seed = Some(number(value(&mut it, flag)?, flag)?),
-            "--max-line-bytes" => {
-                opts.max_line_bytes = number::<usize>(value(&mut it, flag)?, flag)?.max(1)
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 = number(value(&mut it, flag)?, flag)?;
-                opts.read_timeout = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--machine" => machine = Some(value(&mut it, flag)?.clone()),
-            "--listen" => listen = Some(value(&mut it, flag)?.clone()),
-            "--unix" => unix = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--metrics" => metrics = true,
-            "--roofline" => opts.roofline = true,
-            "--trace-out" => trace_out = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--spans-out" => spans_out = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--snapshot-every" => snapshot_every = number(value(&mut it, flag)?, flag)?,
-            other => return Err(format!("unknown --serve flag {other:?}")),
         }
+        if tcp.is_some() && unix.is_some() {
+            return Err("--listen and --unix are mutually exclusive".into());
+        }
+        front.endpoint = tcp.or(unix);
+        if metrics || trace_out.is_some() || spans_out.is_some() {
+            front.obs = Some(ServeObs {
+                trace_out,
+                spans_out,
+                ..ServeObs::default()
+            });
+        }
+        Ok(front)
     }
-    if listen.is_some() && unix.is_some() {
-        return Err("--listen and --unix are mutually exclusive".into());
+
+    /// Runs the service: every connection to the `--listen`/`--unix`
+    /// socket through the stream handler `start` builds, or one
+    /// stdin/stdout stream through `stdio` when no socket was given.
+    fn run<H>(
+        &self,
+        verb: &str,
+        start: impl FnOnce() -> io::Result<H>,
+        stdio: impl FnOnce(BufReader<Stdin>, StdoutLock<'static>) -> io::Result<SweepOutcomes>,
+    ) -> Result<Option<SweepOutcomes>, String>
+    where
+        H: Fn(StreamInput, StreamOutput) -> io::Result<SweepOutcomes> + Send + Sync + 'static,
+    {
+        let served = match &self.endpoint {
+            Some(endpoint) => start()
+                .and_then(|handler| {
+                    let obs = self.obs.clone();
+                    listen(
+                        endpoint,
+                        verb,
+                        self.max_line_bytes,
+                        self.read_timeout,
+                        obs,
+                        handler,
+                    )
+                })
+                .map(|()| None),
+            // StdinLock is not Send (the reader runs on its own thread),
+            // so buffer the Stdin handle directly.
+            None => stdio(BufReader::new(io::stdin()), io::stdout().lock()).map(Some),
+        };
+        served.map_err(|e| e.to_string())
     }
-    if metrics || trace_out.is_some() || spans_out.is_some() {
-        opts.obs = Some(ServeObs {
+}
+
+/// `--serve`: parses the flags, then serves stdin to stdout, or every
+/// connection to the `--listen`/`--unix` socket.
+fn run_serve(args: &[String]) -> Result<Option<SweepOutcomes>, String> {
+    let mut own = ServeOptions::default();
+    let mut machine: Option<String> = None;
+    let mut snapshot_every: usize = 8;
+    let front = Front::parse("--serve", args, |flag, flags| {
+        match flag {
+            "--workers" => own.workers = flags.number(flag)?,
+            "--deadline-ms" => own.deadline = Some(flags.millis(flag)?),
+            "--max-attempts" => own.retry.max_attempts = flags.number::<u32>(flag)?.max(1),
+            "--backoff-ms" => own.retry.backoff_base = flags.millis(flag)?,
+            "--backoff-cap-ms" => own.retry.backoff_cap = flags.millis(flag)?,
+            "--jitter-seed" => own.retry.jitter_seed = Some(flags.number(flag)?),
+            "--machine" => machine = Some(flags.value(flag)?.clone()),
+            "--roofline" => own.roofline = true,
+            "--snapshot-every" => snapshot_every = flags.number(flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    let opts = ServeOptions {
+        base: harness_config(machine.as_deref())?,
+        journal: front.journal.clone(),
+        resume: front.resume.clone(),
+        max_line_bytes: front.max_line_bytes,
+        read_timeout: front.read_timeout,
+        obs: front.obs.clone().map(|o| ServeObs {
             snapshot_every,
-            trace_out,
-            spans_out,
-            ..ServeObs::default()
-        });
-    }
-    opts.base = harness_config(machine.as_deref())?;
-    Ok((opts, listen, unix))
+            ..o
+        }),
+        ..own
+    };
+    let (listened, sweeps) = (opts.clone(), Mutex::new(()));
+    let start = || {
+        Ok(move |input: StreamInput, output: StreamOutput| {
+            // One sweep stream at a time, so connections never
+            // interleave journal writes; with `--journal` and `--resume`
+            // on one file, later connections resume from earlier ones.
+            // Scrapes never take this lock.
+            let _sweep = sweeps.lock().expect("sweep serialization lock");
+            serve(input, output, &listened)
+        })
+    };
+    front.run("serving", start, |input, output| {
+        serve(input, output, &opts)
+    })
 }
 
-/// The `--serve` entry point: stdin/stdout by default, a socket with
-/// `--listen`/`--unix`.
-fn serve_main(args: &[String]) -> ExitCode {
-    let (opts, listen, unix) = match parse_serve_args(args) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("macs-bench --serve: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let served = if let Some(addr) = listen {
-        macs_bench::serve::serve_tcp(&addr, &opts).map(|()| None)
-    } else if let Some(path) = unix {
-        macs_bench::serve::serve_unix(&path, &opts).map(|()| None)
-    } else {
-        // StdinLock is not Send (the reader runs on its own thread), so
-        // buffer the Stdin handle directly.
-        let input = std::io::BufReader::new(std::io::stdin());
-        let stdout = std::io::stdout();
-        serve(input, stdout.lock(), &opts).map(Some)
-    };
-    match served {
-        Ok(Some(outcomes)) => {
-            eprintln!("macs-bench: {outcomes}");
-            ExitCode::SUCCESS
-        }
-        Ok(None) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("macs-bench --serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Parses the `--coordinate` flag set into [`CoordinateOptions`] plus
-/// the optional socket to listen on. Everything after a literal `--` is
-/// forwarded verbatim to each spawned `--serve` worker.
-fn parse_coordinate_args(
-    args: &[String],
-) -> Result<(CoordinateOptions, Option<String>, Option<PathBuf>), String> {
-    let mut opts = CoordinateOptions::default();
-    let mut listen: Option<String> = None;
-    let mut unix: Option<PathBuf> = None;
-    let mut metrics = false;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut spans_out: Option<PathBuf> = None;
-    let (own, forwarded) = match args.iter().position(|a| a == "--") {
+/// `--coordinate`: parses the flags (everything after a literal `--`
+/// goes verbatim to each spawned `--serve` worker), then coordinates
+/// one stdin/stdout stream, or every connection to the socket
+/// concurrently.
+fn run_coordinate(args: &[String]) -> Result<Option<SweepOutcomes>, String> {
+    let (args, forwarded) = match args.iter().position(|a| a == "--") {
         Some(at) => (&args[..at], &args[at + 1..]),
         None => (args, &args[..0]),
     };
-    opts.worker_args = forwarded.to_vec();
-    let mut it = own.iter();
-    fn value<'a>(
-        it: &mut impl Iterator<Item = &'a String>,
-        flag: &str,
-    ) -> Result<&'a String, String> {
-        it.next().ok_or_else(|| format!("{flag} needs a value"))
-    }
-    fn number<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
-        raw.parse()
-            .map_err(|_| format!("{flag} needs a non-negative integer, got {raw:?}"))
-    }
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--fleet" => opts.fleet = number::<usize>(value(&mut it, flag)?, flag)?.max(1),
-            "--worker-program" => opts.worker_program = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--journal" => opts.journal = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--resume" => opts.resume = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--lease-ms" => {
-                opts.lease =
-                    Duration::from_millis(number::<u64>(value(&mut it, flag)?, flag)?.max(1))
-            }
-            "--queue-max" => opts.queue_max = number::<usize>(value(&mut it, flag)?, flag)?.max(1),
-            "--restart-backoff-ms" => {
-                opts.restart_backoff.backoff_base =
-                    Duration::from_millis(number(value(&mut it, flag)?, flag)?)
-            }
-            "--restart-backoff-cap-ms" => {
-                opts.restart_backoff.backoff_cap =
-                    Duration::from_millis(number(value(&mut it, flag)?, flag)?)
-            }
-            "--jitter-seed" => opts.jitter_seed = Some(number(value(&mut it, flag)?, flag)?),
-            "--chaos" => opts.chaos = Some(ChaosSpec::parse(value(&mut it, flag)?)?),
-            "--max-line-bytes" => {
-                opts.max_line_bytes = number::<usize>(value(&mut it, flag)?, flag)?.max(1)
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 = number(value(&mut it, flag)?, flag)?;
-                opts.read_timeout = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--listen" => listen = Some(value(&mut it, flag)?.clone()),
-            "--unix" => unix = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--metrics" => metrics = true,
-            "--trace-out" => trace_out = Some(PathBuf::from(value(&mut it, flag)?)),
-            "--spans-out" => spans_out = Some(PathBuf::from(value(&mut it, flag)?)),
-            other => return Err(format!("unknown --coordinate flag {other:?}")),
+    let mut own = CoordinateOptions::default();
+    let front = Front::parse("--coordinate", args, |flag, flags| {
+        match flag {
+            "--fleet" => own.fleet = flags.number::<usize>(flag)?.max(1),
+            "--worker-program" => own.worker_program = Some(flags.path(flag)?),
+            "--lease-ms" => own.lease = flags.millis(flag)?.max(Duration::from_millis(1)),
+            "--queue-max" => own.queue_max = flags.number::<usize>(flag)?.max(1),
+            "--restart-backoff-ms" => own.restart_backoff.backoff_base = flags.millis(flag)?,
+            "--restart-backoff-cap-ms" => own.restart_backoff.backoff_cap = flags.millis(flag)?,
+            "--jitter-seed" => own.jitter_seed = Some(flags.number(flag)?),
+            "--chaos" => own.chaos = Some(ChaosSpec::parse(flags.value(flag)?)?),
+            _ => return Ok(false),
         }
-    }
-    if listen.is_some() && unix.is_some() {
-        return Err("--listen and --unix are mutually exclusive".into());
-    }
-    if metrics || trace_out.is_some() || spans_out.is_some() {
-        opts.obs = Some(ServeObs {
-            trace_out,
-            spans_out,
-            ..ServeObs::default()
-        });
-    }
-    Ok((opts, listen, unix))
-}
-
-/// The `--coordinate` entry point: one stdin/stdout stream by default,
-/// a multi-tenant socket with `--listen`/`--unix`.
-fn coordinate_main(args: &[String]) -> ExitCode {
-    let (opts, listen, unix) = match parse_coordinate_args(args) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("macs-bench --coordinate: {message}");
-            return ExitCode::FAILURE;
-        }
+        Ok(true)
+    })?;
+    let opts = CoordinateOptions {
+        worker_args: forwarded.to_vec(),
+        journal: front.journal.clone(),
+        resume: front.resume.clone(),
+        max_line_bytes: front.max_line_bytes,
+        read_timeout: front.read_timeout,
+        obs: front.obs.clone(),
+        ..own
     };
-    let served = if let Some(addr) = listen {
-        macs_bench::coordinate::coordinate_tcp(&addr, &opts).map(|()| None)
-    } else if let Some(path) = unix {
-        macs_bench::coordinate::coordinate_unix(&path, &opts).map(|()| None)
-    } else {
-        let input = std::io::BufReader::new(std::io::stdin());
-        let stdout = std::io::stdout();
-        macs_bench::coordinate(input, stdout.lock(), &opts).map(Some)
+    let start = || {
+        let coordinator = Coordinator::start(&opts)?;
+        Ok(move |input: StreamInput, output: StreamOutput| coordinator.client(input, output))
     };
-    match served {
-        Ok(Some(outcomes)) => {
-            eprintln!("macs-bench: {outcomes}");
-            ExitCode::SUCCESS
-        }
-        Ok(None) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("macs-bench --coordinate: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    front.run("coordinating", start, |input, output| {
+        coordinate(input, output, &opts)
+    })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--serve") {
-        return serve_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("--coordinate") {
-        return coordinate_main(&args[1..]);
+    if let Some(mode @ ("--serve" | "--coordinate")) = args.first().map(String::as_str) {
+        let served = match mode {
+            "--serve" => run_serve(&args[1..]),
+            _ => run_coordinate(&args[1..]),
+        };
+        return match served {
+            Ok(outcomes) => {
+                outcomes.inspect(|outcomes| eprintln!("macs-bench: {outcomes}"));
+                ExitCode::SUCCESS
+            }
+            Err(message) => {
+                eprintln!("macs-bench {mode}: {message}");
+                ExitCode::FAILURE
+            }
+        };
     }
     let out_dir = PathBuf::from(args.first().cloned().unwrap_or_else(|| "results".into()));
     let sim = harness_config(None).expect("the default machine always resolves");

@@ -35,8 +35,7 @@
 //! `--serve` process.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,10 +45,10 @@ use std::time::{Duration, Instant};
 use c240_obs::json::Json;
 use c240_obs::SweepOutcomes;
 use macs_core::supervise::RetryPolicy;
-use macs_core::sweep::{parse_point, Journal, SweepPoint, SWEEP_ROW_SCHEMA};
+use macs_core::sweep::{Journal, SweepPoint};
 
-use crate::lineio::{sniff_http, BoundedLines, LineEvent, Sniff};
-use crate::serve::{answer_http, ServeObs};
+use crate::listen::{read_requests, stream_row, Request};
+use crate::serve::{base_row, ServeObs};
 
 /// Fault-injection schedule: every Nth dispatch triggers the named
 /// action against the worker it was dispatched to (0 = never). The
@@ -408,9 +407,53 @@ impl Coordinator {
     pub fn client(
         &self,
         input: impl BufRead + Send,
-        output: impl Write,
+        mut output: impl Write,
     ) -> io::Result<SweepOutcomes> {
-        client_stream(&self.hub, input, output)
+        let hub = &self.hub;
+        let (tx, rx) = mpsc::channel::<ClientRow>();
+        let mut outcomes = SweepOutcomes::new();
+        let client_span = hub.obs().map(|o| o.tracer.span("coordinate-client"));
+        std::thread::scope(|scope| -> io::Result<()> {
+            let max_line_bytes = hub.opts.max_line_bytes;
+            scope.spawn(move || {
+                let metrics = hub.obs().map(|o| &o.metrics);
+                read_requests(input, max_line_bytes, metrics, None, |request| {
+                    let row = match request {
+                        Request::Point(point) => {
+                            if let Some(delivered) = register(hub, &point, &tx) {
+                                let _ = tx.send(delivered);
+                            }
+                            return;
+                        }
+                        Request::Malformed(e, _) => stream_row("protocol", &e.to_string()),
+                        Request::Abuse(row) => row,
+                    };
+                    let _ = tx.send(ClientRow {
+                        row,
+                        class: RowClass::Fresh,
+                    });
+                });
+                // tx drops here; rx closes once every registered
+                // waiter has also resolved and dropped its clone.
+            });
+            for delivered in rx {
+                match delivered.class {
+                    RowClass::Fresh => tally_fresh(&mut outcomes, &delivered.row),
+                    RowClass::Cached => outcomes.cached += 1,
+                    RowClass::Resumed => outcomes.resumed += 1,
+                }
+                writeln!(output, "{}", delivered.row)?;
+                output.flush()?;
+            }
+            Ok(())
+        })?;
+        writeln!(output, "{}", outcomes.to_json())?;
+        output.flush()?;
+        if let Some(mut s) = client_span {
+            s.arg("points", outcomes.points());
+            s.end();
+        }
+        Ok(outcomes)
     }
 
     /// Stops the fleet: closes every worker's stdin (EOF lets them
@@ -807,25 +850,13 @@ fn supervisor_loop(hub: &Arc<Hub>) {
 }
 
 fn overloaded_row(point: &SweepPoint, key: &str, queue_max: usize) -> Json {
-    Json::obj()
-        .field("schema", SWEEP_ROW_SCHEMA)
-        .field("id", point.id.as_str())
-        .field("key", key)
-        .field("kernel", point.kernel)
+    base_row(point, key)
         .field("status", "error")
         .field("error_kind", "overloaded")
         .field(
             "message",
             format!("coordinator admission queue is full ({queue_max} points); retry later"),
         )
-}
-
-fn stream_error_row(kind: &str, message: &str) -> Json {
-    Json::obj()
-        .field("schema", SWEEP_ROW_SCHEMA)
-        .field("status", "error")
-        .field("error_kind", kind)
-        .field("message", message)
 }
 
 /// Registers one parsed point for a client: cache hit, join-in-flight,
@@ -905,93 +936,6 @@ fn tally_fresh(outcomes: &mut SweepOutcomes, row: &Json) {
     }
 }
 
-/// One client request stream against the hub (the body of
-/// [`Coordinator::client`]).
-fn client_stream(
-    hub: &Arc<Hub>,
-    input: impl BufRead + Send,
-    mut output: impl Write,
-) -> io::Result<SweepOutcomes> {
-    let (tx, rx) = mpsc::channel::<ClientRow>();
-    let mut outcomes = SweepOutcomes::new();
-    let client_span = hub.obs().map(|o| o.tracer.span("coordinate-client"));
-    std::thread::scope(|scope| -> io::Result<()> {
-        let reader_hub = Arc::clone(hub);
-        let reader_tx = tx;
-        let max_line_bytes = hub.opts.max_line_bytes;
-        scope.spawn(move || {
-            let mut lines = BoundedLines::new(input, max_line_bytes);
-            loop {
-                match lines.next_event() {
-                    Err(_) | Ok(LineEvent::Eof) => break,
-                    Ok(LineEvent::Stalled) => {
-                        reader_hub.count("macs_streams_stalled_total");
-                        let _ = reader_tx.send(ClientRow {
-                            row: stream_error_row(
-                                "stalled",
-                                "no complete request line within the read timeout; \
-                                 closing the stream",
-                            ),
-                            class: RowClass::Fresh,
-                        });
-                        break;
-                    }
-                    Ok(LineEvent::Oversized { length }) => {
-                        reader_hub.count("macs_lines_oversized_total");
-                        let _ = reader_tx.send(ClientRow {
-                            row: stream_error_row(
-                                "oversized",
-                                &format!(
-                                    "request line of {length}+ bytes exceeds the \
-                                     {max_line_bytes}-byte limit"
-                                ),
-                            ),
-                            class: RowClass::Fresh,
-                        });
-                    }
-                    Ok(LineEvent::Line(line)) => {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        match parse_point(&line) {
-                            Err(e) => {
-                                let _ = reader_tx.send(ClientRow {
-                                    row: stream_error_row("protocol", &e.to_string()),
-                                    class: RowClass::Fresh,
-                                });
-                            }
-                            Ok(point) => {
-                                if let Some(row) = register(&reader_hub, &point, &reader_tx) {
-                                    let _ = reader_tx.send(row);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            // reader_tx drops here; rx closes once every registered
-            // waiter has also resolved and dropped its clone.
-        });
-        for delivered in rx {
-            match delivered.class {
-                RowClass::Fresh => tally_fresh(&mut outcomes, &delivered.row),
-                RowClass::Cached => outcomes.cached += 1,
-                RowClass::Resumed => outcomes.resumed += 1,
-            }
-            writeln!(output, "{}", delivered.row)?;
-            output.flush()?;
-        }
-        Ok(())
-    })?;
-    writeln!(output, "{}", outcomes.to_json())?;
-    output.flush()?;
-    if let Some(mut s) = client_span {
-        s.arg("points", outcomes.points());
-        s.end();
-    }
-    Ok(outcomes)
-}
-
 /// One-shot mode: start a fleet, serve a single request stream (stdin →
 /// stdout in the CLI), and shut the fleet down.
 ///
@@ -1009,99 +953,10 @@ pub fn coordinate(
     outcomes
 }
 
-/// Binds `addr` and coordinates TCP clients forever. Unlike
-/// [`crate::serve::serve_tcp`], client streams run *concurrently* —
-/// that is the point of the coordinator — and `GET /metrics` is served
-/// off the same listener.
-///
-/// # Errors
-///
-/// Fails if the address cannot be bound, accepting fails, or the fleet
-/// cannot start.
-pub fn coordinate_tcp(addr: &str, opts: &CoordinateOptions) -> io::Result<()> {
-    let coordinator = Arc::new(Coordinator::start(opts)?);
-    let listener = TcpListener::bind(addr)?;
-    eprintln!("macs-bench: coordinating on tcp {}", listener.local_addr()?);
-    loop {
-        let (stream, peer) = listener.accept()?;
-        if let Some(t) = opts.read_timeout.filter(|t| !t.is_zero()) {
-            let _ = stream.set_read_timeout(Some(t));
-        }
-        let coordinator = Arc::clone(&coordinator);
-        std::thread::spawn(move || {
-            let Ok(reader_half) = stream.try_clone() else {
-                return;
-            };
-            match handle_client(&coordinator, stream, reader_half) {
-                Ok(Some(outcomes)) => eprintln!("macs-bench: {peer}: {outcomes}"),
-                Ok(None) => {}
-                Err(e) => eprintln!("macs-bench: {peer}: client failed: {e}"),
-            }
-        });
-    }
-}
-
-/// Binds a Unix socket and coordinates clients forever; see
-/// [`coordinate_tcp`]. A stale socket file is removed first.
-///
-/// # Errors
-///
-/// Fails if the socket cannot be bound, accepting fails, or the fleet
-/// cannot start.
-#[cfg(unix)]
-pub fn coordinate_unix(path: &std::path::Path, opts: &CoordinateOptions) -> io::Result<()> {
-    use std::os::unix::net::UnixListener;
-    if path.exists() {
-        std::fs::remove_file(path)?;
-    }
-    let coordinator = Arc::new(Coordinator::start(opts)?);
-    let listener = UnixListener::bind(path)?;
-    eprintln!("macs-bench: coordinating on unix socket {}", path.display());
-    loop {
-        let (stream, _) = listener.accept()?;
-        if let Some(t) = opts.read_timeout.filter(|t| !t.is_zero()) {
-            let _ = stream.set_read_timeout(Some(t));
-        }
-        let coordinator = Arc::clone(&coordinator);
-        std::thread::spawn(move || {
-            let Ok(reader_half) = stream.try_clone() else {
-                return;
-            };
-            match handle_client(&coordinator, stream, reader_half) {
-                Ok(Some(outcomes)) => eprintln!("macs-bench: {outcomes}"),
-                Ok(None) => {}
-                Err(e) => eprintln!("macs-bench: client failed: {e}"),
-            }
-        });
-    }
-}
-
-/// Sniffs one accepted connection: `GET`/`HEAD` becomes a metrics
-/// scrape, anything else a coordinated sweep stream.
-fn handle_client<S: Read + Write + Send>(
-    coordinator: &Coordinator,
-    stream: S,
-    reader_half: S,
-) -> io::Result<Option<SweepOutcomes>> {
-    let mut reader = BufReader::new(reader_half);
-    // Bounded, timeout-aware sniff: a peer that stalls or never sends a
-    // newline still reaches the hardened client stream (and gets its
-    // structured `stalled`/`protocol` row) instead of erroring out here.
-    let sniffed = match sniff_http(&mut reader, coordinator.hub.opts.max_line_bytes)? {
-        Sniff::Empty => return Ok(None),
-        Sniff::Http(request_line) => {
-            answer_http(&request_line, &mut reader, stream, coordinator.hub.obs())?;
-            return Ok(None);
-        }
-        Sniff::Stream(seen) => seen,
-    };
-    let input = io::Cursor::new(sniffed).chain(reader);
-    coordinator.client(input, stream).map(Some)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use macs_core::sweep::parse_point;
 
     #[test]
     fn chaos_spec_parses_any_subset() {

@@ -22,11 +22,13 @@
 
 pub mod coordinate;
 pub mod lineio;
+pub mod listen;
 pub mod serve;
 pub mod timing;
 
 pub use coordinate::{coordinate, ChaosSpec, CoordinateOptions, Coordinator};
-pub use lineio::{sniff_http, BoundedLines, LineEvent, Sniff};
+pub use lineio::{BoundedLines, LineEvent};
+pub use listen::{listen, Endpoint, MAX_CONNECTIONS};
 pub use macs_core::{parallel_map, pool::THREADS_ENV, threads};
 pub use serve::{
     eval_point, eval_point_observed, serve, Evaluated, PointClass, ServeObs, ServeOptions,

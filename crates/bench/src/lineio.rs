@@ -35,9 +35,10 @@ pub enum LineEvent {
 
 /// How a freshly accepted connection opened.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Sniff {
-    /// An HTTP `GET`/`HEAD` request line (terminator stripped).
-    Http(String),
+pub(crate) enum Sniff {
+    /// An HTTP `GET`/`HEAD` request. The rest of its request line and
+    /// its headers are still unread.
+    Http,
     /// An NDJSON sweep stream; the sniffed bytes must be replayed ahead
     /// of the remaining stream.
     Stream(Vec<u8>),
@@ -45,36 +46,29 @@ pub enum Sniff {
     Empty,
 }
 
-/// Reads just enough of a fresh connection to tell an HTTP metrics
-/// scrape (`GET `/`HEAD `) from an NDJSON sweep stream, without ever
-/// issuing an unbounded or indefinitely blocking line read: the verb
-/// needs at most 5 bytes, the HTTP request line is capped at
-/// `max_line_bytes`, and a read timeout or over-long line mid-sniff
-/// degrades to [`Sniff::Stream`] so the bounded line reader downstream
-/// answers with its structured `stalled`/`protocol` row instead of the
+/// Reads at most five bytes of a fresh connection to tell an HTTP
+/// metrics scrape (`GET `/`HEAD `) from an NDJSON sweep stream, so the
+/// sniff itself never buffers an unbounded line. A read timeout
+/// mid-sniff degrades to [`Sniff::Stream`], so the bounded line reader
+/// downstream answers with its structured `stalled` row instead of the
 /// connection dying silently.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors other than the timeout kinds, which degrade to
 /// `Stream` as described above.
-pub fn sniff_http(source: &mut impl Read, max_line_bytes: usize) -> io::Result<Sniff> {
+pub(crate) fn sniff_http(source: &mut impl Read) -> io::Result<Sniff> {
     let mut seen: Vec<u8> = Vec::new();
     let mut byte = [0u8; 1];
-    let http = loop {
+    loop {
         match source.read(&mut byte) {
-            Ok(0) => {
-                return Ok(if seen.is_empty() {
-                    Sniff::Empty
-                } else {
-                    Sniff::Stream(seen)
-                });
-            }
+            Ok(0) if seen.is_empty() => return Ok(Sniff::Empty),
+            Ok(0) => return Ok(Sniff::Stream(seen)),
             Ok(_) => {
                 seen.push(byte[0]);
                 let verbs: [&[u8]; 2] = [b"GET ", b"HEAD "];
                 if verbs.contains(&seen.as_slice()) {
-                    break seen.clone();
+                    return Ok(Sniff::Http);
                 }
                 if !verbs.iter().any(|v| v.starts_with(&seen)) {
                     return Ok(Sniff::Stream(seen));
@@ -82,29 +76,6 @@ pub fn sniff_http(source: &mut impl Read, max_line_bytes: usize) -> io::Result<S
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 return Ok(Sniff::Stream(seen));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    };
-    // The verb matched; collect the rest of the request line, still
-    // bounded and still timeout-aware.
-    let mut line = http;
-    loop {
-        if line.len() > max_line_bytes.max(64) {
-            return Ok(Sniff::Stream(line));
-        }
-        match source.read(&mut byte) {
-            Ok(0) => return Ok(Sniff::Stream(line)),
-            Ok(_) if byte[0] == b'\n' => {
-                while line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return Ok(Sniff::Http(String::from_utf8_lossy(&line).into_owned()));
-            }
-            Ok(_) => line.push(byte[0]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return Ok(Sniff::Stream(line));
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -312,13 +283,13 @@ mod tests {
     #[test]
     fn sniff_tells_http_from_ndjson_and_never_blocks_on_a_stall() {
         let mut get = &b"GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n"[..];
-        assert_eq!(
-            sniff_http(&mut get, 8192).unwrap(),
-            Sniff::Http("GET /metrics HTTP/1.0".into())
-        );
+        assert_eq!(sniff_http(&mut get).unwrap(), Sniff::Http);
+        // The sniff stops right after the verb: the request line's rest
+        // is left for the bounded reader that answers the scrape.
+        assert_eq!(get, b"/metrics HTTP/1.0\r\nHost: x\r\n\r\n");
 
         let mut ndjson = &b"{\"id\":\"p\",\"kernel\":1}\n"[..];
-        match sniff_http(&mut ndjson, 8192).unwrap() {
+        match sniff_http(&mut ndjson).unwrap() {
             // One sniffed byte suffices: '{' is no HTTP verb prefix.
             Sniff::Stream(seen) => assert_eq!(seen, b"{"),
             other => panic!("expected Stream, got {other:?}"),
@@ -327,12 +298,12 @@ mod tests {
         // "GE" then EOF: the partial verb is handed back for replay.
         let mut partial = &b"GE"[..];
         assert_eq!(
-            sniff_http(&mut partial, 8192).unwrap(),
+            sniff_http(&mut partial).unwrap(),
             Sniff::Stream(b"GE".to_vec())
         );
 
         let mut empty = &b""[..];
-        assert_eq!(sniff_http(&mut empty, 8192).unwrap(), Sniff::Empty);
+        assert_eq!(sniff_http(&mut empty).unwrap(), Sniff::Empty);
 
         // A stall before any byte degrades to an (empty) stream — the
         // caller's bounded reader then reports Stalled — instead of
@@ -343,21 +314,7 @@ mod tests {
                 Err(io::Error::new(ErrorKind::WouldBlock, "stall"))
             }
         }
-        assert_eq!(
-            sniff_http(&mut Stall, 8192).unwrap(),
-            Sniff::Stream(Vec::new())
-        );
-    }
-
-    #[test]
-    fn sniff_caps_a_runaway_http_request_line() {
-        let mut hostile: Vec<u8> = b"GET /".to_vec();
-        hostile.extend(std::iter::repeat_n(b'a', 100_000));
-        let mut source = &hostile[..];
-        match sniff_http(&mut source, 1024).unwrap() {
-            Sniff::Stream(seen) => assert!(seen.len() <= 1024 + 2),
-            other => panic!("expected the capped line as Stream, got {other:?}"),
-        }
+        assert_eq!(sniff_http(&mut Stall).unwrap(), Sniff::Stream(Vec::new()));
     }
 
     #[test]

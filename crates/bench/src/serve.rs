@@ -34,34 +34,30 @@
 //! re-emits the journaled `trace` verbatim).
 
 use std::collections::{BTreeMap, HashSet};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
+use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::lineio::{sniff_http, BoundedLines, LineEvent, Sniff};
+use crate::listen::{read_requests, stream_row, Request};
+use c240_isa::timing::TICKS_PER_CYCLE;
 use c240_isa::{MachineDescription, PRESET_NAMES};
 use c240_obs::json::Json;
 use c240_obs::span::{spans_to_chrome, spans_to_ndjson};
 use c240_obs::{Metrics, Span, StallCause, SweepOutcomes, Tracer};
 use c240_sim::{Cpu, FfStats, Machine, SimConfig, StallRollup};
-use macs_core::supervise::{
-    supervise, supervise_observed, FailureKind, RetryPolicy, SuperviseEvent,
-};
-use macs_core::sweep::{parse_point, Fault, Journal, ProtocolError, SweepPoint, SWEEP_ROW_SCHEMA};
+use macs_core::supervise::{supervise, FailureKind, RetryPolicy, SuperviseEvent};
+use macs_core::sweep::{Fault, Journal, ProtocolError, SweepPoint, SWEEP_ROW_SCHEMA};
 use macs_core::{
     compiled_intensity, measure_probed, measured_class, operational_intensity, ChimeConfig,
     KernelBounds, MachineCeilings, Measurement, RooflineVerdict, ROOFLINE_SCHEMA,
 };
 
-/// Ticks per simulated cycle: stall-cycle metrics are exported as
-/// integer *ticks* (1/20 cycle) because the simulator quantizes all
-/// timing to this grid, so the conversion is exact.
-const TICKS_PER_CYCLE: f64 = 20.0;
-
+/// Stall-cycle metrics are exported as integer *ticks* (1/20 cycle):
+/// the simulator quantizes all timing to this grid, so the conversion
+/// is exact.
 fn ticks(cycles: f64) -> u64 {
     (cycles * TICKS_PER_CYCLE).round().max(0.0) as u64
 }
@@ -215,7 +211,7 @@ impl Measured {
     }
 }
 
-fn base_row(point: &SweepPoint, key: &str) -> Json {
+pub(crate) fn base_row(point: &SweepPoint, key: &str) -> Json {
     Json::obj()
         .field("schema", SWEEP_ROW_SCHEMA)
         .field("id", point.id.as_str())
@@ -376,18 +372,15 @@ pub fn eval_point_observed(
         span: point_span.as_ref().map(Span::id).unwrap_or(0),
         ..Provenance::default()
     };
-    let reject = |span, prov: &Provenance, kind: &str, message: &str| {
-        finish_eval(
-            span,
-            obs,
-            Evaluated {
-                row: error_row(point, &key, kind, message, 0, &[], false),
-                class: PointClass::Invalid,
-                retried: false,
-            },
-            prov,
-        )
+    let reject = |span, prov: &Provenance, row| {
+        let evaluated = Evaluated {
+            row,
+            class: PointClass::Invalid,
+            retried: false,
+        };
+        finish_eval(span, obs, evaluated, prov)
     };
+    let invalid = |kind: &str, message: &str| error_row(point, &key, kind, message, 0, &[], false);
 
     // Validate: kernel lookup, machine-preset resolution, configuration
     // validation.
@@ -403,36 +396,16 @@ pub fn eval_point_observed(
             // Structured sibling of the prose message: the resolvable
             // preset names, so sweep drivers can self-correct without
             // parsing the error text.
-            let row = error_row(
-                point,
-                &key,
-                "unknown_machine",
-                &e.to_string(),
-                0,
-                &[],
-                false,
-            )
-            .field(
-                "known_machines",
-                Json::Arr(PRESET_NAMES.iter().map(|&n| Json::from(n)).collect()),
-            );
-            return finish_eval(
-                point_span,
-                obs,
-                Evaluated {
-                    row,
-                    class: PointClass::Invalid,
-                    retried: false,
-                },
-                &prov,
-            );
+            let known = Json::Arr(PRESET_NAMES.iter().map(|&n| Json::from(n)).collect());
+            let row = invalid("unknown_machine", &e.to_string()).field("known_machines", known);
+            return reject(point_span, &prov, row);
         }
     };
     let checked = checked.map(|k| cfg.validate().map(|()| k).map_err(|e| e.to_string()));
     prov.validate_ns = vspan.map(Span::end);
     let kernel = match checked {
-        Err(message) => return reject(point_span, &prov, "unknown_kernel", &message),
-        Ok(Err(message)) => return reject(point_span, &prov, "invalid_config", &message),
+        Err(message) => return reject(point_span, &prov, invalid("unknown_kernel", &message)),
+        Ok(Err(message)) => return reject(point_span, &prov, invalid("invalid_config", &message)),
         Ok(Ok(k)) => k,
     };
 
@@ -443,7 +416,7 @@ pub fn eval_point_observed(
     prov.schedule_ns = sspan.map(Span::end);
     let program = match program {
         Ok(p) => p,
-        Err(e) => return reject(point_span, &prov, "invalid_passes", &e.to_string()),
+        Err(e) => return reject(point_span, &prov, invalid("invalid_passes", &e.to_string())),
     };
 
     let iterations = kernel.iterations_with_passes(passes);
@@ -533,26 +506,23 @@ pub fn eval_point_observed(
             Ok((Measured::of(&m), RunTelemetry::default()))
         }
     };
-    let s = match obs {
-        Some((o, _)) => {
-            let metrics = &o.metrics;
-            supervise_observed(run, deadline, retry, &mut |event| match event {
-                SuperviseEvent::AttemptFailed { failure, .. } => {
-                    metrics
-                        .counter("macs_attempt_failures_total", &[("kind", failure.kind())])
-                        .inc();
-                    if matches!(failure, FailureKind::Deadline { .. }) {
-                        metrics.counter("macs_watchdog_fires_total", &[]).inc();
-                    }
+    let s = supervise(run, deadline, retry, &mut |event| {
+        let Some((o, _)) = obs else { return };
+        match event {
+            SuperviseEvent::AttemptFailed { failure, .. } => {
+                o.metrics
+                    .counter("macs_attempt_failures_total", &[("kind", failure.kind())])
+                    .inc();
+                if matches!(failure, FailureKind::Deadline { .. }) {
+                    o.metrics.counter("macs_watchdog_fires_total", &[]).inc();
                 }
-                SuperviseEvent::Backoff { ms } => {
-                    metrics.counter("macs_backoff_sleeps_total", &[]).inc();
-                    metrics.counter("macs_backoff_ms_total", &[]).add(ms);
-                }
-            })
+            }
+            SuperviseEvent::Backoff { ms } => {
+                o.metrics.counter("macs_backoff_sleeps_total", &[]).inc();
+                o.metrics.counter("macs_backoff_ms_total", &[]).add(ms);
+            }
         }
-        None => supervise(run, deadline, retry),
-    };
+    });
     prov.simulate_ns = sim_span.map(Span::end);
     prov.attempts = s.attempts;
     let retried = s.retried();
@@ -700,49 +670,31 @@ impl Emit {
         self.key.is_some() && matches!(self.kind, EmitKind::Point(_))
     }
 
-    fn tally(&self, outcomes: &mut SweepOutcomes) {
-        match self.kind {
-            EmitKind::Point(PointClass::Ok) => outcomes.ok += 1,
-            EmitKind::Point(PointClass::Invalid) | EmitKind::Protocol => outcomes.invalid += 1,
-            EmitKind::Point(PointClass::TimedOut) => outcomes.timed_out += 1,
-            EmitKind::Point(PointClass::Panicked) => outcomes.panicked += 1,
-            EmitKind::Resumed => outcomes.resumed += 1,
-            EmitKind::Duplicate => outcomes.duplicate += 1,
-        }
-        if self.retried {
-            outcomes.retried += 1;
-        }
-    }
-
-    /// Mirrors [`Emit::tally`] into the metrics registry, increment for
-    /// increment, so `macs_points_total{outcome=...}` reconciles exactly
-    /// with the end-of-stream [`SweepOutcomes`] summary.
-    fn tally_metrics(&self, metrics: &Metrics) {
-        let outcome = match self.kind {
-            EmitKind::Point(PointClass::Ok) => "ok",
-            EmitKind::Point(PointClass::Invalid) | EmitKind::Protocol => "invalid",
-            EmitKind::Point(PointClass::TimedOut) => "timed_out",
-            EmitKind::Point(PointClass::Panicked) => "panicked",
-            EmitKind::Resumed => "resumed",
-            EmitKind::Duplicate => "duplicate",
+    /// Counts this row in `outcomes` and, with metrics on, in
+    /// `macs_points_total{outcome}` — increment for increment, so the
+    /// metric reconciles exactly with the end-of-stream summary.
+    fn tally(&self, outcomes: &mut SweepOutcomes, metrics: Option<&Metrics>) {
+        let (count, outcome) = match self.kind {
+            EmitKind::Point(PointClass::Ok) => (&mut outcomes.ok, "ok"),
+            EmitKind::Point(PointClass::Invalid) | EmitKind::Protocol => {
+                (&mut outcomes.invalid, "invalid")
+            }
+            EmitKind::Point(PointClass::TimedOut) => (&mut outcomes.timed_out, "timed_out"),
+            EmitKind::Point(PointClass::Panicked) => (&mut outcomes.panicked, "panicked"),
+            EmitKind::Resumed => (&mut outcomes.resumed, "resumed"),
+            EmitKind::Duplicate => (&mut outcomes.duplicate, "duplicate"),
         };
-        metrics
-            .counter("macs_points_total", &[("outcome", outcome)])
-            .inc();
-        if self.retried {
-            metrics.counter("macs_points_retried_total", &[]).inc();
+        *count += 1;
+        outcomes.retried += u64::from(self.retried);
+        if let Some(metrics) = metrics {
+            metrics
+                .counter("macs_points_total", &[("outcome", outcome)])
+                .inc();
+            if self.retried {
+                metrics.counter("macs_points_retried_total", &[]).inc();
+            }
         }
     }
-}
-
-/// A structured protocol-error row for stream-level abuse (oversized
-/// lines, stalled peers) where there is no line text worth echoing.
-fn limit_row(kind: &str, message: &str) -> Json {
-    Json::obj()
-        .field("schema", SWEEP_ROW_SCHEMA)
-        .field("status", "error")
-        .field("error_kind", kind)
-        .field("message", message)
 }
 
 fn protocol_row(error: &ProtocolError, line: &str) -> Json {
@@ -750,12 +702,7 @@ fn protocol_row(error: &ProtocolError, line: &str) -> Json {
     if shown.len() < line.len() {
         shown.push('…');
     }
-    Json::obj()
-        .field("schema", SWEEP_ROW_SCHEMA)
-        .field("status", "error")
-        .field("error_kind", "protocol")
-        .field("message", error.to_string())
-        .field("line", shown)
+    stream_row("protocol", &error.to_string()).field("line", shown)
 }
 
 fn duplicate_row(point: &SweepPoint, key: &str) -> Json {
@@ -812,102 +759,43 @@ pub fn serve(
     let resumed = &resumed;
     std::thread::scope(|scope| -> io::Result<()> {
         let reader_tx = out_tx.clone();
-        let reader_obs = obs.map(|o| (o.tracer.clone(), o.metrics.gauge("macs_queue_depth", &[])));
-        let abuse_counters = obs.map(|o| {
-            (
-                o.metrics.counter("macs_lines_oversized_total", &[]),
-                o.metrics.counter("macs_streams_stalled_total", &[]),
-            )
-        });
+        let depth = obs.map(|o| o.metrics.gauge("macs_queue_depth", &[]));
         let max_line_bytes = opts.max_line_bytes;
         scope.spawn(move || {
             // Send failures below mean the writer already bailed on an
             // output error; keep draining input so the scope can join.
             let mut seen: HashSet<String> = HashSet::new();
-            let mut lines = BoundedLines::new(input, max_line_bytes);
-            loop {
-                let line = match lines.next_event() {
-                    Err(_) | Ok(LineEvent::Eof) => break,
-                    Ok(LineEvent::Stalled) => {
-                        // The peer dribbled past the read timeout: answer
-                        // with a structured row and end the stream, so a
-                        // slowloris costs one row, not a pinned thread.
-                        if let Some((_, stalled)) = abuse_counters.as_ref() {
-                            stalled.inc();
-                        }
-                        let _ = reader_tx.send(Emit {
-                            key: None,
-                            row: limit_row(
-                                "stalled",
-                                "no complete request line within the read timeout; closing the stream",
-                            ),
-                            kind: EmitKind::Protocol,
-                            retried: false,
-                        });
-                        break;
+            let send = |key, row, kind| {
+                let _ = reader_tx.send(Emit {
+                    key,
+                    row,
+                    kind,
+                    retried: false,
+                });
+            };
+            let metrics = obs.map(|o| &o.metrics);
+            let parse_spans = obs.map(|o| (&o.tracer, sweep_id));
+            read_requests(input, max_line_bytes, metrics, parse_spans, |request| {
+                let point = match request {
+                    Request::Abuse(row) => return send(None, row, EmitKind::Protocol),
+                    Request::Malformed(e, line) => {
+                        return send(None, protocol_row(&e, &line), EmitKind::Protocol)
                     }
-                    Ok(LineEvent::Oversized { length }) => {
-                        if let Some((oversized, _)) = abuse_counters.as_ref() {
-                            oversized.inc();
-                        }
-                        let _ = reader_tx.send(Emit {
-                            key: None,
-                            row: limit_row(
-                                "oversized",
-                                &format!(
-                                    "request line of {length}+ bytes exceeds the \
-                                     {max_line_bytes}-byte limit"
-                                ),
-                            ),
-                            kind: EmitKind::Protocol,
-                            retried: false,
-                        });
-                        continue;
-                    }
-                    Ok(LineEvent::Line(line)) => line,
+                    Request::Point(point) => point,
                 };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let parse_span = reader_obs
-                    .as_ref()
-                    .map(|(tracer, _)| tracer.span_under("parse", sweep_id));
-                let parsed = parse_point(&line);
-                drop(parse_span);
-                match parsed {
-                    Err(e) => {
-                        let _ = reader_tx.send(Emit {
-                            key: None,
-                            row: protocol_row(&e, &line),
-                            kind: EmitKind::Protocol,
-                            retried: false,
-                        });
+                let key = point.key();
+                if !seen.insert(key.clone()) {
+                    let row = duplicate_row(&point, &key);
+                    send(Some(key), row, EmitKind::Duplicate);
+                } else if let Some(row) = resumed.get(&key) {
+                    send(Some(key), row.clone(), EmitKind::Resumed);
+                } else {
+                    if let Some(depth) = &depth {
+                        depth.add(1);
                     }
-                    Ok(point) => {
-                        let key = point.key();
-                        if !seen.insert(key.clone()) {
-                            let _ = reader_tx.send(Emit {
-                                key: Some(key.clone()),
-                                row: duplicate_row(&point, &key),
-                                kind: EmitKind::Duplicate,
-                                retried: false,
-                            });
-                        } else if let Some(row) = resumed.get(&key) {
-                            let _ = reader_tx.send(Emit {
-                                key: Some(key),
-                                row: row.clone(),
-                                kind: EmitKind::Resumed,
-                                retried: false,
-                            });
-                        } else {
-                            if let Some((_, depth)) = reader_obs.as_ref() {
-                                depth.add(1);
-                            }
-                            let _ = job_tx.send(point);
-                        }
-                    }
+                    let _ = job_tx.send(point);
                 }
-            }
+            });
         });
         for _ in 0..workers {
             let job_rx = Arc::clone(&job_rx);
@@ -956,10 +844,7 @@ pub fn serve(
             let report_span = obs.map(|o| o.tracer.span_under("report", sweep_id));
             writeln!(output, "{}", emit.row)?;
             output.flush()?;
-            emit.tally(&mut outcomes);
-            if let Some(o) = obs {
-                emit.tally_metrics(&o.metrics);
-            }
+            emit.tally(&mut outcomes, obs.map(|o| &o.metrics));
             if emit.journaled() {
                 if let (Some(journal), Some(key)) = (journal.as_mut(), emit.key.as_deref()) {
                     journal.record(key, &emit.row)?;
@@ -999,156 +884,10 @@ pub fn serve(
     Ok(outcomes)
 }
 
-/// Answers an HTTP request sniffed off a sweep listener. Only
-/// `GET /metrics` is served (the Prometheus text exposition,
-/// `version=0.0.4`); anything else is a 404. The request's remaining
-/// header lines are drained (bounded) so well-behaved HTTP clients see
-/// a clean close.
-pub(crate) fn answer_http(
-    request_line: &str,
-    reader: &mut impl BufRead,
-    mut writer: impl Write,
-    obs: Option<&ServeObs>,
-) -> io::Result<()> {
-    for _ in 0..64 {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header.trim().is_empty() {
-            break;
-        }
-    }
-    let path = request_line.split_whitespace().nth(1).unwrap_or("");
-    let (status, body) = match (path, obs) {
-        ("/metrics", Some(o)) => ("200 OK", o.metrics.render_prometheus()),
-        ("/metrics", None) => (
-            "404 Not Found",
-            "metrics disabled: start the server with --metrics\n".to_string(),
-        ),
-        _ => (
-            "404 Not Found",
-            "only /metrics is served here\n".to_string(),
-        ),
-    };
-    write!(
-        writer,
-        "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    writer.flush()
-}
-
-/// One accepted connection: sniffs the first line to dispatch between a
-/// metrics scrape (`GET ...`) and a sweep request stream. Sweep streams
-/// serialize on `sweeps` so concurrent connections never interleave
-/// journal writes; metrics scrapes bypass the lock, which is what makes
-/// mid-sweep scraping work.
-fn handle_connection<S: Read + Write + Send>(
-    stream: S,
-    reader_half: S,
-    opts: &ServeOptions,
-    sweeps: &Mutex<()>,
-) -> io::Result<Option<SweepOutcomes>> {
-    let mut reader = BufReader::new(reader_half);
-    // Bounded, timeout-aware sniff: a peer that stalls or never sends a
-    // newline still reaches the hardened request loop (and gets its
-    // structured `stalled`/`protocol` row) instead of erroring out here.
-    let sniffed = match sniff_http(&mut reader, opts.max_line_bytes)? {
-        Sniff::Empty => return Ok(None),
-        Sniff::Http(request_line) => {
-            answer_http(&request_line, &mut reader, stream, opts.obs.as_ref())?;
-            return Ok(None);
-        }
-        Sniff::Stream(seen) => seen,
-    };
-    let _guard = sweeps.lock().expect("sweep serialization lock");
-    let input = io::Cursor::new(sniffed).chain(reader);
-    serve(input, stream, opts).map(Some)
-}
-
-/// Binds `addr` and serves TCP connections forever (the process is
-/// stopped externally). Each connection is either a metrics scrape
-/// (`GET /metrics`, answered concurrently) or an independent sweep
-/// request stream; sweep streams are serialized, and with
-/// `--journal`/`--resume` pointed at the same file, later connections
-/// resume from earlier ones' checkpoints.
-///
-/// # Errors
-///
-/// Fails if the address cannot be bound or accepting fails.
-pub fn serve_tcp(addr: &str, opts: &ServeOptions) -> io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    eprintln!("macs-bench: serving on tcp {}", listener.local_addr()?);
-    let opts = Arc::new(opts.clone());
-    let sweeps = Arc::new(Mutex::new(()));
-    loop {
-        let (stream, peer) = listener.accept()?;
-        // A zero-duration timeout is invalid at the socket layer; treat
-        // it as "no timeout" rather than killing the connection.
-        if let Some(t) = opts.read_timeout.filter(|t| !t.is_zero()) {
-            let _ = stream.set_read_timeout(Some(t));
-        }
-        let opts = Arc::clone(&opts);
-        let sweeps = Arc::clone(&sweeps);
-        std::thread::spawn(move || {
-            let reader_half = match stream.try_clone() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("macs-bench: {peer}: clone failed: {e}");
-                    return;
-                }
-            };
-            match handle_connection(stream, reader_half, &opts, &sweeps) {
-                Ok(Some(outcomes)) => eprintln!("macs-bench: {peer}: {outcomes}"),
-                Ok(None) => {}
-                Err(e) => eprintln!("macs-bench: {peer}: connection failed: {e}"),
-            }
-        });
-    }
-}
-
-/// Binds a Unix socket at `path` and serves connections forever; see
-/// [`serve_tcp`] (including `GET /metrics`). A stale socket file at
-/// `path` is removed first.
-///
-/// # Errors
-///
-/// Fails if the socket cannot be bound or accepting fails.
-#[cfg(unix)]
-pub fn serve_unix(path: &std::path::Path, opts: &ServeOptions) -> io::Result<()> {
-    use std::os::unix::net::UnixListener;
-    if path.exists() {
-        std::fs::remove_file(path)?;
-    }
-    let listener = UnixListener::bind(path)?;
-    eprintln!("macs-bench: serving on unix socket {}", path.display());
-    let opts = Arc::new(opts.clone());
-    let sweeps = Arc::new(Mutex::new(()));
-    loop {
-        let (stream, _) = listener.accept()?;
-        if let Some(t) = opts.read_timeout.filter(|t| !t.is_zero()) {
-            let _ = stream.set_read_timeout(Some(t));
-        }
-        let opts = Arc::clone(&opts);
-        let sweeps = Arc::clone(&sweeps);
-        std::thread::spawn(move || {
-            let reader_half = match stream.try_clone() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("macs-bench: clone failed: {e}");
-                    return;
-                }
-            };
-            match handle_connection(stream, reader_half, &opts, &sweeps) {
-                Ok(Some(outcomes)) => eprintln!("macs-bench: {outcomes}"),
-                Ok(None) => {}
-                Err(e) => eprintln!("macs-bench: connection failed: {e}"),
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use macs_core::sweep::parse_point;
 
     fn serve_lines(lines: &str, opts: &ServeOptions) -> (Vec<Json>, SweepOutcomes) {
         let mut out = Vec::new();

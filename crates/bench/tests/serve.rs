@@ -82,11 +82,14 @@ fn hostile_streams_become_error_rows_never_a_dead_server() {
         "{\"id\":\"badpass\",\"kernel\":1,\"passes\":-3}\n",
         "[1,2,3]\n",
         "{\"id\":\"deep\",\"kernel\":1,\"config\":{\"cpus\":999}}\n",
+        // Four billion contention streams: refused at parse time, before
+        // anything is allocated for them.
+        "{\"kernel\":1,\"config\":{\"contention\":\"mixed:4000000000\"}}\n",
     );
     let (rows, summary) = serve_once(input, &[]);
-    assert_eq!(rows.len(), 8, "every line is answered");
+    assert_eq!(rows.len(), 9, "every line is answered");
     assert_eq!(field_num(&summary, "ok"), Some(1.0));
-    assert_eq!(field_num(&summary, "invalid"), Some(7.0));
+    assert_eq!(field_num(&summary, "invalid"), Some(8.0));
     assert_eq!(
         field_str(row_by_id(&rows, "badcfg"), "error_kind"),
         Some("invalid_config")
@@ -107,7 +110,10 @@ fn hostile_streams_become_error_rows_never_a_dead_server() {
         .iter()
         .filter(|r| field_str(r, "error_kind") == Some("protocol"))
         .count();
-    assert_eq!(protocol_rows, 3, "garbage, unknown field, non-object");
+    assert_eq!(
+        protocol_rows, 4,
+        "garbage, unknown field, non-object, contention over the cap"
+    );
 }
 
 #[test]

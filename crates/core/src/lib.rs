@@ -93,9 +93,7 @@ pub use roofline::{
     RooflinePoint, RooflineVerdict, ROOFLINE_SCHEMA,
 };
 pub use runreport::{RunReport, RUN_REPORT_SCHEMA};
-pub use supervise::{
-    supervise, supervise_observed, FailureKind, JitterRng, RetryPolicy, SuperviseEvent, Supervised,
-};
+pub use supervise::{supervise, FailureKind, JitterRng, RetryPolicy, SuperviseEvent, Supervised};
 pub use sweep::{
     parse_point, Contention, Fault, Journal, Overrides, ProtocolError, SweepPoint, JOURNAL_SCHEMA,
     SWEEP_ROW_SCHEMA,

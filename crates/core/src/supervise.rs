@@ -233,7 +233,7 @@ where
 }
 
 /// A supervision lifecycle event, reported to the observer of
-/// [`supervise_observed`] *as it happens* — not summarized after the
+/// [`supervise`] *as it happens* — not summarized after the
 /// fact — so a live metrics plane can count watchdog fires, retries, and
 /// backoff sleeps while a point is still being retried.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -255,25 +255,17 @@ pub enum SuperviseEvent<'a> {
 }
 
 /// Runs `f` under supervision: panics caught, the deadline enforced per
-/// attempt, failures retried per `retry`.
+/// attempt, failures retried per `retry`, and each [`SuperviseEvent`]
+/// reported to `observe` as it happens (pass `&mut |_| {}` to ignore
+/// them).
 ///
 /// The closure must be `'static` because a deadline-exceeding attempt is
 /// abandoned on its worker thread (which may still be running when this
 /// function returns); share state with the caller through the return
-/// value only.
-pub fn supervise<R, F>(f: F, deadline: Option<Duration>, retry: &RetryPolicy) -> Supervised<R>
-where
-    F: Fn() -> R + Send + Sync + 'static,
-    R: Send + 'static,
-{
-    supervise_observed(f, deadline, retry, &mut |_| {})
-}
-
-/// [`supervise`], reporting each [`SuperviseEvent`] to `observe` as it
-/// happens. The observer runs on the supervising thread between
+/// value only. The observer runs on the supervising thread between
 /// attempts, never inside the supervised closure, so it may freely touch
 /// non-`'static` state (a metrics registry, a span).
-pub fn supervise_observed<R, F>(
+pub fn supervise<R, F>(
     f: F,
     deadline: Option<Duration>,
     retry: &RetryPolicy,
@@ -336,7 +328,7 @@ mod tests {
 
     #[test]
     fn healthy_point_succeeds_first_try() {
-        let s = supervise(|| 42u32, None, &RetryPolicy::default());
+        let s = supervise(|| 42u32, None, &RetryPolicy::default(), &mut |_| {});
         assert_eq!(s.result, Ok(42));
         assert_eq!(s.attempts, 1);
         assert!(s.backoff_ms.is_empty());
@@ -346,7 +338,12 @@ mod tests {
 
     #[test]
     fn panicking_point_is_poisoned_after_the_budget() {
-        let s = supervise(|| -> u32 { panic!("injected fault") }, None, &fast_retry(3));
+        let s = supervise(
+            || -> u32 { panic!("injected fault") },
+            None,
+            &fast_retry(3),
+            &mut |_| {},
+        );
         assert_eq!(s.attempts, 3);
         assert!(s.poisoned());
         assert!(s.retried());
@@ -372,6 +369,7 @@ mod tests {
             },
             None,
             &fast_retry(5),
+            &mut |_| {},
         );
         assert_eq!(s.result, Ok(7));
         assert_eq!(s.attempts, 3);
@@ -388,6 +386,7 @@ mod tests {
             },
             Some(Duration::from_millis(20)),
             &fast_retry(2),
+            &mut |_| {},
         );
         assert_eq!(s.attempts, 2);
         match s.result {
@@ -400,7 +399,12 @@ mod tests {
 
     #[test]
     fn deadline_passes_through_a_fast_point() {
-        let s = supervise(|| 9u32, Some(Duration::from_secs(10)), &fast_retry(1));
+        let s = supervise(
+            || 9u32,
+            Some(Duration::from_secs(10)),
+            &fast_retry(1),
+            &mut |_| {},
+        );
         assert_eq!(s.result, Ok(9));
         assert_eq!(s.attempts, 1);
     }
@@ -409,7 +413,7 @@ mod tests {
     fn observer_sees_failures_and_backoffs_in_order() {
         static TRIES: AtomicU32 = AtomicU32::new(0);
         let mut events = Vec::new();
-        let s = supervise_observed(
+        let s = supervise(
             || {
                 if TRIES.fetch_add(1, Ordering::SeqCst) < 2 {
                     panic!("transient");
@@ -439,7 +443,7 @@ mod tests {
     #[test]
     fn observer_sees_watchdog_fires() {
         let mut timeouts = 0u32;
-        let s = supervise_observed(
+        let s = supervise(
             || {
                 std::thread::sleep(Duration::from_secs(5));
                 1u32
@@ -513,7 +517,8 @@ mod tests {
             backoff_cap: Duration::from_millis(8),
             jitter_seed: Some(7),
         };
-        let run = || supervise(|| -> u32 { panic!("always") }, None, &retry).backoff_ms;
+        let run =
+            || supervise(|| -> u32 { panic!("always") }, None, &retry, &mut |_| {}).backoff_ms;
         let first = run();
         assert_eq!(first.len(), 3, "three failed retries → three backoffs");
         assert_eq!(first, run(), "pinned seed → identical backoff schedule");

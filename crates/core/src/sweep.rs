@@ -216,11 +216,25 @@ fn parse_contention(value: &Json) -> Result<Contention, ProtocolError> {
     }
     let (preset, n) = text.split_once(':').ok_or(ERR)?;
     let n: u32 = n.parse().map_err(|_| ERR)?;
-    match preset {
-        "lockstep" => Ok(Contention::Lockstep(n)),
-        "mixed" => Ok(Contention::Mixed(n)),
-        _ => Err(ERR),
+    let contention = match preset {
+        "lockstep" => Contention::Lockstep(n),
+        "mixed" => Contention::Mixed(n),
+        _ => return Err(ERR),
+    };
+    // Both presets build one stream per unit of `n`, so a huge `n` would
+    // exhaust memory before `MemConfig::validate` could refuse it: reject
+    // it here, at the protocol boundary.
+    const _: () = assert!(
+        c240_mem::MAX_CONTENTION_STREAMS == 64,
+        "update the message below"
+    );
+    if n as usize > c240_mem::MAX_CONTENTION_STREAMS {
+        return Err(ProtocolError::BadField {
+            field: "config.contention",
+            expected: "\"lockstep:N\" or \"mixed:N\" with N at most 64 (the contention-stream cap)",
+        });
     }
+    Ok(contention)
 }
 
 fn parse_inject(value: &Json) -> Result<Fault, ProtocolError> {
@@ -782,6 +796,31 @@ mod tests {
                 .inject,
             Some(Fault::SleepMs(40))
         );
+    }
+
+    #[test]
+    fn contention_presets_are_capped_at_parse_time() {
+        let cap = c240_mem::MAX_CONTENTION_STREAMS;
+        for preset in ["lockstep", "mixed"] {
+            let at_cap = format!(r#"{{"kernel":1,"config":{{"contention":"{preset}:{cap}"}}}}"#);
+            assert!(
+                parse_point(&at_cap).is_ok(),
+                "{preset}:{cap} is within the cap"
+            );
+            let over = format!(
+                r#"{{"kernel":1,"config":{{"contention":"{preset}:{}"}}}}"#,
+                cap + 1
+            );
+            let err = parse_point(&over).expect_err("one stream over the cap");
+            assert!(matches!(
+                err,
+                ProtocolError::BadField {
+                    field: "config.contention",
+                    ..
+                }
+            ));
+            assert!(err.to_string().contains(&format!("at most {cap}")), "{err}");
+        }
     }
 
     #[test]
