@@ -85,11 +85,14 @@ fn hostile_streams_become_error_rows_never_a_dead_server() {
         // Four billion contention streams: refused at parse time, before
         // anything is allocated for them.
         "{\"kernel\":1,\"config\":{\"contention\":\"mixed:4000000000\"}}\n",
+        // A bank busy far past the 1/20-cycle tick range: refused at
+        // validation, not simulated into overflowed cycle counts.
+        "{\"id\":\"slowbank\",\"kernel\":1,\"config\":{\"bank_busy\":1000000000000000}}\n",
     );
     let (rows, summary) = serve_once(input, &[]);
-    assert_eq!(rows.len(), 9, "every line is answered");
+    assert_eq!(rows.len(), 10, "every line is answered");
     assert_eq!(field_num(&summary, "ok"), Some(1.0));
-    assert_eq!(field_num(&summary, "invalid"), Some(8.0));
+    assert_eq!(field_num(&summary, "invalid"), Some(9.0));
     assert_eq!(
         field_str(row_by_id(&rows, "badcfg"), "error_kind"),
         Some("invalid_config")
@@ -105,6 +108,12 @@ fn hostile_streams_become_error_rows_never_a_dead_server() {
     assert_eq!(
         field_str(row_by_id(&rows, "deep"), "error_kind"),
         Some("invalid_config")
+    );
+    let slow = row_by_id(&rows, "slowbank");
+    assert_eq!(field_str(slow, "error_kind"), Some("invalid_config"));
+    assert!(
+        field_str(slow, "message").is_some_and(|m| m.contains("exceeds the maximum of 1024")),
+        "{slow}"
     );
     let protocol_rows = rows
         .iter()

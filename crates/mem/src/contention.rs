@@ -11,6 +11,8 @@
 //! grant slot that no stream claims. Streams are deterministic so
 //! simulations are exactly reproducible.
 
+use crate::TICKS_PER_CYCLE;
+
 /// One background processor's memory reference stream.
 ///
 /// At cycle `c` the stream (when active) touches bank
@@ -41,17 +43,6 @@ impl ContentionStream {
             duty_num: 1,
             duty_den: 1,
         }
-    }
-
-    /// A thinned stream claiming `num/den` of its bank visits.
-    ///
-    /// # Panics
-    ///
-    /// Panics on fractions above 1 or a zero denominator; this is the
-    /// compatibility wrapper over [`ContentionStream::try_with_duty`].
-    pub fn with_duty(self, num: u32, den: u32) -> Self {
-        self.try_with_duty(num, den)
-            .expect("duty must be a fraction <= 1")
     }
 
     /// If this stream claims bank `bank` at any point during the grant
@@ -107,6 +98,26 @@ impl ContentionStream {
             }
             let v = c0 as f64 + kk * m as f64;
             if v < tt + 1.0 && tt < v + claim_len {
+                return Some(v + claim_len);
+            }
+        }
+        None
+    }
+
+    /// [`ContentionStream::claim_end_from`] in 1/20-cycle ticks: `t`,
+    /// `claim_len` and the returned end are tick counts. Integer
+    /// arithmetic throughout, so no libm `floor` call; on grid times it
+    /// agrees with the `f64` solver (see the schedule test).
+    fn claim_end_ticks(&self, c0: u64, m: u64, t: i64, claim_len: i64) -> Option<i64> {
+        let (c0, m) = (c0 as i64 * TICKS_PER_CYCLE, m as i64 * TICKS_PER_CYCLE);
+        let t = t.max(0);
+        let k = (t - c0).div_euclid(m);
+        for kk in [k - 1, k, k + 1] {
+            if kk < 0 || !self.visit_active(kk as u64) {
+                continue;
+            }
+            let v = c0 + kk * m;
+            if v < t + TICKS_PER_CYCLE && t < v + claim_len {
                 return Some(v + claim_len);
             }
         }
@@ -329,18 +340,19 @@ impl ContentionSchedule {
         }
     }
 
-    /// The end of the latest claim blocking a grant to `bank` at cycle
+    /// The end of the latest claim blocking a grant to `bank` at tick
     /// `t`, if any stream blocks it: the maximum of every stream's
-    /// [`ContentionStream::blocking_claim_end`].
-    pub(crate) fn blocking_claim_end(&self, bank: u32, t: f64, claim_len: f64) -> Option<f64> {
+    /// [`ContentionStream::blocking_claim_end`], in ticks (`claim_len`
+    /// too).
+    pub(crate) fn blocking_claim_end(&self, bank: u32, t: i64, claim_len: i64) -> Option<i64> {
         if self.streams.is_empty() {
             return None;
         }
         self.streams
             .iter()
             .zip(self.row(bank))
-            .filter_map(|(s, &c0)| s.claim_end_from(u64::from(c0), self.banks, t, claim_len))
-            .fold(None, |acc, end| Some(acc.map_or(end, |a: f64| a.max(end))))
+            .filter_map(|(s, &c0)| s.claim_end_ticks(u64::from(c0), self.banks, t, claim_len))
+            .max()
     }
 
     /// Every stream's first visit to `bank`, in stream order.
@@ -406,7 +418,7 @@ mod tests {
 
     #[test]
     fn duty_thins_claims() {
-        let s = ContentionStream::unit(0).with_duty(1, 2);
+        let s = ContentionStream::unit(0).try_with_duty(1, 2).unwrap();
         // Visits to bank 0 at cycles 0, 32, 64, ...; only even visit
         // indices claim.
         assert!(s.blocking_claim_end(0, 32, 0.0, 8.0).is_some());
@@ -425,9 +437,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duty")]
     fn bad_duty_rejected() {
-        let _ = ContentionStream::unit(0).with_duty(5, 4);
+        assert_eq!(
+            ContentionStream::unit(0).try_with_duty(5, 4),
+            Err(crate::MemConfigError::DutyAboveOne { num: 5, den: 4 })
+        );
     }
 
     #[test]
@@ -481,7 +495,8 @@ mod tests {
                     duty_num: 1,
                     duty_den: 1,
                 }
-                .with_duty(rng.range(0, den) as u32, den as u32),
+                .try_with_duty(rng.range(0, den) as u32, den as u32)
+                .unwrap(),
             )
         })
     }
@@ -492,9 +507,9 @@ mod tests {
             .with_stream(ContentionStream::unit(0))
             .with_stream(ContentionStream::unit(1));
         // Bank 5: stream A claims [5,13), stream B claims [4,12).
-        let end = ContentionSchedule::new(&cfg, 32).blocking_claim_end(5, 5.0, 8.0);
-        assert_eq!(end, Some(13.0));
-        assert_eq!(end, reference_claim_end(&cfg, 5, 32, 5.0, 8.0));
+        let end = ContentionSchedule::new(&cfg, 32).blocking_claim_end(5, 100, 160);
+        assert_eq!(end, Some(260));
+        assert_eq!(reference_claim_end(&cfg, 5, 32, 5.0, 8.0), Some(13.0));
     }
 
     #[test]
@@ -507,16 +522,19 @@ mod tests {
                 rng.range(1, u64::from(crate::MAX_BANKS))
             } as u32;
             let cfg = random_config(&mut rng, 12);
-            let claim_len = rng.range(1, 16) as f64;
+            let claim_len = rng.range(1, 16);
             let schedule = ContentionSchedule::new(&cfg, banks);
             for _ in 0..200 {
                 let bank = rng.range(0, u64::from(banks) - 1) as u32;
-                // On the 1/20-cycle grid.
-                let t = rng.range(0, 20 * 200_000) as f64 / 20.0;
+                // A tick count, and its grid time in cycles for the
+                // reference; claim ends are whole cycles.
+                let t = rng.range(0, 20 * 200_000) as i64;
+                let cycles = t as f64 / 20.0;
                 assert_eq!(
-                    schedule.blocking_claim_end(bank, t, claim_len),
-                    reference_claim_end(&cfg, bank, banks, t, claim_len),
-                    "seed {seed}: bank {bank}/{banks} at t={t}, claim {claim_len}, {cfg:?}"
+                    schedule.blocking_claim_end(bank, t, 20 * claim_len as i64),
+                    reference_claim_end(&cfg, bank, banks, cycles, claim_len as f64)
+                        .map(|end| (end * 20.0) as i64),
+                    "seed {seed}: bank {bank}/{banks} at t={cycles}, claim {claim_len}, {cfg:?}"
                 );
             }
         }

@@ -40,7 +40,7 @@ mod validate;
 pub use cache::{CacheConfig, ScalarCache};
 pub use contention::{ContentionConfig, ContentionStream};
 pub use system::{BankState, MemConfig, MemorySystem, WaitBreakdown};
-pub use validate::{MemConfigError, MAX_BANKS, MAX_CONTENTION_STREAMS, MAX_WORDS};
+pub use validate::{MemConfigError, MAX_BANKS, MAX_BANK_BUSY, MAX_CONTENTION_STREAMS, MAX_WORDS};
 
 /// Word-granular bank index for an address under a given interleave.
 ///
@@ -75,6 +75,11 @@ pub fn stride_cycles_per_element(stride_words: i64, banks: u32, bank_busy: u64) 
     let revisit = u64::from(banks) / g;
     (bank_busy as f64 / revisit as f64).max(1.0)
 }
+
+/// Grid points per cycle of the machine's timing quantum: the memory
+/// system grants in integer ticks of 1/20 cycle. Private copy of
+/// `c240_isa::timing::TICKS_PER_CYCLE` — this crate is dependency-free.
+pub(crate) const TICKS_PER_CYCLE: i64 = 20;
 
 pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {

@@ -11,23 +11,121 @@
 //! stepping, so contention between CPUs *emerges* from real interleaved
 //! traffic instead of the synthetic [`ContentionStream`]s.
 //!
+//! Grants run in integer ticks of 1/20 cycle, the grid every timing
+//! parameter of the machine lies on: claim starts, the horizon, refresh
+//! windows, background claims and the wait counters are `i64` tick
+//! counts. Only the public surface speaks `f64` cycles, converted exactly
+//! on the way in and out.
+//!
 //! [`ContentionStream`]: crate::ContentionStream
 
 use std::collections::VecDeque;
 
 use crate::contention::{ContentionConfig, ContentionSchedule};
-use crate::{bank_of, gcd};
+use crate::{bank_of, gcd, MAX_BANK_BUSY, TICKS_PER_CYCLE};
 
-/// Grid points per cycle of the machine's timing quantum. Private copy of
-/// `c240_isa::timing::TICKS_PER_CYCLE` — this crate is dependency-free.
-const TICKS_PER_CYCLE: f64 = 20.0;
-
-/// Rounds to the canonical `f64` of the nearest 1/20-cycle grid point,
-/// keeping every stored timestamp a pure function of its integer tick
-/// count (see `c240_isa::timing::quantize`).
+/// The tick count of the 1/20-cycle grid point nearest `x` cycles,
+/// halfway cases away from zero: the point `c240_isa::timing::quantize`
+/// picks, so `cycles(ticks(x)) == quantize(x)` bitwise. Truncation plus
+/// an exact fractional-part compare, not a libm `round` call. Saturates
+/// at the `i64` range; NaN maps to 0.
 #[inline]
-fn q(x: f64) -> f64 {
-    (x * TICKS_PER_CYCLE).round() / TICKS_PER_CYCLE
+fn ticks(x: f64) -> i64 {
+    let y = x * TICKS_PER_CYCLE as f64;
+    let n = y as i64;
+    // Exact: `n` is `y` truncated, so `y - n` is `y`'s fractional part
+    // (0 once `|y| ≥ 2⁵²`).
+    let frac = y - n as f64;
+    if frac >= 0.5 {
+        n.saturating_add(1)
+    } else if frac <= -0.5 {
+        n.saturating_sub(1)
+    } else {
+        n
+    }
+}
+
+/// The canonical `f64` cycle value of a tick count — exact division, the
+/// value a `quantize`d accumulator holds for the same count (below 2⁵³
+/// ticks).
+#[inline]
+fn cycles(t: i64) -> f64 {
+    t as f64 / TICKS_PER_CYCLE as f64
+}
+
+/// A whole number of cycles in ticks, saturating at `i64::MAX` (only an
+/// unvalidated configuration gets near it).
+fn whole_ticks(n: u64) -> i64 {
+    i64::try_from(n)
+        .ok()
+        .and_then(|n| n.checked_mul(TICKS_PER_CYCLE))
+        .unwrap_or(i64::MAX)
+}
+
+/// Whether tick `t` falls in a refresh window: windows of `len` ticks
+/// open every `period` ticks from tick 0.
+#[inline]
+fn in_refresh(t: i64, period: i64, len: i64) -> bool {
+    t.rem_euclid(period) < len
+}
+
+/// Wait counters in ticks, one per [`WaitBreakdown`] cause.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct TickWaits {
+    bank_busy: i64,
+    refresh: i64,
+    contention: i64,
+}
+
+impl TickWaits {
+    fn cycles(&self) -> WaitBreakdown {
+        WaitBreakdown {
+            bank_busy: cycles(self.bank_busy),
+            refresh: cycles(self.refresh),
+            contention: cycles(self.contention),
+        }
+    }
+
+    /// Adds `k` periods of per-period deltas given in (integer-valued)
+    /// `f64` ticks.
+    fn advance(&mut self, d: WaitBreakdown, k: i64) {
+        self.bank_busy += k * d.bank_busy as i64;
+        self.refresh += k * d.refresh as i64;
+        self.contention += k * d.contention as i64;
+    }
+}
+
+/// Index of the first claim ending after tick `t` in a bank's claim list
+/// (sorted by start, every claim `busy` ticks long, so ends are sorted
+/// too). A galloping search from the back: a request `d` claims behind
+/// the newest costs `O(log d)`, and the common case — a request among
+/// the newest claims — a probe or two.
+fn first_ending_after(claims: &VecDeque<(i64, u32)>, t: i64, busy: i64) -> usize {
+    let ends_by_t = |i: usize| claims[i].0 + busy <= t;
+    // Every claim at or after `hi` ends after `t`.
+    let mut hi = claims.len();
+    let mut step = 1;
+    let mut lo = loop {
+        if hi == 0 {
+            return 0;
+        }
+        let probe = hi.saturating_sub(step);
+        if ends_by_t(probe) {
+            break probe + 1;
+        }
+        hi = probe;
+        step *= 2;
+    };
+    // Every claim before `lo` ends by `t`.
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if ends_by_t(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Configuration of the memory system.
@@ -116,23 +214,23 @@ pub struct BankState {
     /// foreign claim are charged to contention, not bank-busy.
     owner: Vec<u32>,
     /// Multiport mode only: each bank's outstanding claim windows as
-    /// `(start, owner)` pairs sorted by start. Every claim lasts the
+    /// `(start tick, owner)` pairs sorted by start. Every claim lasts the
     /// configured bank-busy time, so the ends are sorted too, and grant
     /// searches keep the windows pairwise disjoint. Empty in single-port
     /// mode.
-    claims: Vec<VecDeque<(f64, u32)>>,
+    claims: Vec<VecDeque<(i64, u32)>>,
     /// Whether grant searches fit into idle windows *between* claims
     /// (multiport co-sim) or only after the latest claim (single-port).
     multiport: bool,
-    /// Claims ending at or before this cycle can no longer affect any
+    /// Claims ending at or before this tick can no longer affect any
     /// future request and are pruned.
-    horizon: f64,
+    horizon: i64,
     /// Machine-wide accesses across all views.
     accesses: u64,
-    /// Machine-wide wait cycles across all views.
-    waited: f64,
-    /// Machine-wide wait breakdown across all views.
-    breakdown: WaitBreakdown,
+    /// Machine-wide wait ticks across all views.
+    waited: i64,
+    /// Machine-wide wait breakdown across all views, in ticks.
+    breakdown: TickWaits,
 }
 
 impl BankState {
@@ -147,10 +245,10 @@ impl BankState {
             owner: vec![0; banks as usize],
             claims: Vec::new(),
             multiport: false,
-            horizon: 0.0,
+            horizon: 0,
             accesses: 0,
-            waited: 0.0,
-            breakdown: WaitBreakdown::default(),
+            waited: 0,
+            breakdown: TickWaits::default(),
         }
     }
 
@@ -181,7 +279,15 @@ impl BankState {
     /// ending at or before it are dead and get pruned. Monotonic —
     /// lower values than a previous horizon are ignored.
     pub fn set_horizon(&mut self, cycle: f64) {
-        self.horizon = self.horizon.max(cycle);
+        // The last tick whose cycle value is at or below `cycle`, so a
+        // claim is pruned exactly when its `f64` end would compare at or
+        // below it. Negative and NaN horizons prune nothing.
+        let cycle = cycle.max(0.0);
+        let mut h = ticks(cycle);
+        if cycles(h) > cycle {
+            h -= 1;
+        }
+        self.horizon = self.horizon.max(h);
     }
 
     /// Clears all arbitration state and counters.
@@ -191,10 +297,10 @@ impl BankState {
         for c in &mut self.claims {
             c.clear();
         }
-        self.horizon = 0.0;
+        self.horizon = 0;
         self.accesses = 0;
-        self.waited = 0.0;
-        self.breakdown = WaitBreakdown::default();
+        self.waited = 0;
+        self.breakdown = TickWaits::default();
     }
 
     /// Total accesses served across every view sharing this state.
@@ -204,13 +310,13 @@ impl BankState {
 
     /// Total wait cycles across every view sharing this state.
     pub fn wait_cycles(&self) -> f64 {
-        self.waited
+        cycles(self.waited)
     }
 
     /// The machine-wide wait breakdown across every view sharing this
     /// state. Per-view breakdowns sum to this exactly.
     pub fn wait_breakdown(&self) -> WaitBreakdown {
-        self.breakdown
+        self.breakdown.cycles()
     }
 }
 
@@ -228,12 +334,19 @@ pub struct MemorySystem {
     config: MemConfig,
     /// `config.contention` solved for `config.banks`.
     contention: ContentionSchedule,
+    /// `config.bank_busy` in ticks.
+    busy: i64,
+    /// Refresh period and window length in ticks; `None` when refresh is
+    /// off or (unvalidated) its period is zero, which opens no window.
+    refresh: Option<(i64, i64)>,
     data: Vec<f64>,
     bank: BankState,
     view: u32,
     accesses: u64,
-    waited: f64,
-    breakdown: WaitBreakdown,
+    /// This view's wait ticks.
+    waited: i64,
+    /// This view's wait breakdown, in ticks.
+    breakdown: TickWaits,
 }
 
 /// Cycles accesses spent waiting, split by cause.
@@ -266,20 +379,33 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics on a contention stream with an even stride (see
-    /// [`MemConfig::validate`]).
+    /// Panics on a contention stream with an even stride or a bank busy
+    /// time above [`MAX_BANK_BUSY`] (see [`MemConfig::validate`]).
     pub fn new(config: MemConfig) -> Self {
+        assert!(
+            config.bank_busy <= MAX_BANK_BUSY,
+            "bank busy time {} exceeds the maximum of {MAX_BANK_BUSY} cycles",
+            config.bank_busy
+        );
         let banks = config.banks;
         let words = config.words;
+        let refresh = (config.refresh_enabled && config.refresh_period > 0).then(|| {
+            (
+                whole_ticks(config.refresh_period),
+                whole_ticks(config.refresh_len),
+            )
+        });
         MemorySystem {
             contention: ContentionSchedule::new(&config.contention, banks),
+            busy: whole_ticks(config.bank_busy),
+            refresh,
             config,
             data: vec![0.0; words],
             bank: BankState::new(banks),
             view: 0,
             accesses: 0,
-            waited: 0.0,
-            breakdown: WaitBreakdown::default(),
+            waited: 0,
+            breakdown: TickWaits::default(),
         }
     }
 
@@ -301,13 +427,13 @@ impl MemorySystem {
     /// Cycles this view's accesses spent waiting beyond their earliest
     /// start.
     pub fn wait_cycles(&self) -> f64 {
-        self.waited
+        cycles(self.waited)
     }
 
     /// This view's wait cycles split by cause (bank busy, refresh,
     /// contention).
     pub fn wait_breakdown(&self) -> WaitBreakdown {
-        self.breakdown
+        self.breakdown.cycles()
     }
 
     /// The view id this port charges its bank claims to (0 outside
@@ -400,8 +526,8 @@ impl MemorySystem {
     pub fn reset_timing(&mut self) {
         self.bank.reset();
         self.accesses = 0;
-        self.waited = 0.0;
-        self.breakdown = WaitBreakdown::default();
+        self.waited = 0;
+        self.breakdown = TickWaits::default();
     }
 
     fn check(&self, addr: u64) {
@@ -423,15 +549,21 @@ impl MemorySystem {
     fn grant(&mut self, addr: u64, earliest: f64) -> f64 {
         self.check(addr);
         let bank = bank_of(addr, self.config.banks) as usize;
-        let earliest = q(earliest.max(0.0));
-        let busy = self.config.bank_busy as f64;
+        let earliest = ticks(earliest.max(0.0));
+        let busy = self.busy;
+        // Every stored recovery time is a grid value, so this is exact.
+        let free = ticks(self.bank.free[bank]);
+        // Multiport: the index of the first claim ending after `t`.
+        let mut next = 0;
         if self.bank.multiport {
             // Claims ending at or before the horizon are dead; with the
             // ends sorted they form a prefix.
             let horizon = self.bank.horizon;
             let claims = &mut self.bank.claims[bank];
-            let dead = claims.partition_point(|&(s, _)| q(s + busy) <= horizon);
-            claims.drain(..dead);
+            while claims.front().is_some_and(|&(s, _)| s + busy <= horizon) {
+                claims.pop_front();
+            }
+            next = first_ending_after(claims, earliest, busy);
         }
         let mut t = earliest;
         let mut guard = 0u32;
@@ -439,83 +571,79 @@ impl MemorySystem {
             guard += 1;
             assert!(
                 guard < 100_000,
-                "memory grant search did not converge (bank {bank}, t={t}); \
-                 contention configuration saturates the bank"
+                "memory grant search did not converge (bank {bank}, t={}); \
+                 contention configuration saturates the bank",
+                cycles(t)
             );
             if self.bank.multiport {
                 // Window fit: slide past the first claim overlapping
                 // [t, t+busy), charging the displacement to its owner's
                 // category, and retry (idle windows between later claims
                 // remain usable). With starts and ends sorted, only the
-                // first claim ending after t can be that claim.
+                // first claim ending after t can be that claim, and `t`
+                // only grows, so that index only moves forward.
                 let claims = &self.bank.claims[bank];
-                let first_live = claims.partition_point(|&(s, _)| q(s + busy) <= t);
-                let hit = claims
-                    .get(first_live)
-                    .filter(|&&(s, _)| s < q(t + busy))
-                    .copied();
-                if let Some((s, owner)) = hit {
-                    let end = q(s + busy);
-                    let wait = end - t;
-                    if owner == self.view {
-                        self.breakdown.bank_busy = q(self.breakdown.bank_busy + wait);
-                        self.bank.breakdown.bank_busy = q(self.bank.breakdown.bank_busy + wait);
-                    } else {
-                        self.breakdown.contention = q(self.breakdown.contention + wait);
-                        self.bank.breakdown.contention = q(self.bank.breakdown.contention + wait);
-                    }
+                while claims.get(next).is_some_and(|&(s, _)| s + busy <= t) {
+                    next += 1;
+                }
+                if let Some(&(s, owner)) = claims.get(next).filter(|&&(s, _)| s < t + busy) {
+                    let end = s + busy;
+                    self.charge_claim(owner, end - t);
                     t = end;
                     continue;
                 }
-            } else if t < self.bank.free[bank] {
-                let wait = self.bank.free[bank] - t;
-                if self.bank.owner[bank] == self.view {
-                    self.breakdown.bank_busy = q(self.breakdown.bank_busy + wait);
-                    self.bank.breakdown.bank_busy = q(self.bank.breakdown.bank_busy + wait);
-                } else {
-                    self.breakdown.contention = q(self.breakdown.contention + wait);
-                    self.bank.breakdown.contention = q(self.bank.breakdown.contention + wait);
-                }
-                t = self.bank.free[bank];
+            } else if t < free {
+                self.charge_claim(self.bank.owner[bank], free - t);
+                t = free;
                 continue;
             }
-            if self.config.refresh_enabled {
-                let period = self.config.refresh_period as f64;
-                let len = self.config.refresh_len as f64;
-                let into = t.rem_euclid(period);
-                if into < len {
+            if let Some((period, len)) = self.refresh {
+                if in_refresh(t, period, len) {
                     // The paper (§3.2): a refresh "will force the VP to
                     // stall for eight cycles" — the blocked access pays
                     // the full window (re-arbitration included), not just
                     // the remainder of it.
-                    self.breakdown.refresh = q(self.breakdown.refresh + len);
-                    self.bank.breakdown.refresh = q(self.bank.breakdown.refresh + len);
-                    t = q(t + len);
+                    self.breakdown.refresh += len;
+                    self.bank.breakdown.refresh += len;
+                    t += len;
                     continue;
                 }
             }
             if let Some(end) = self.contention.blocking_claim_end(bank as u32, t, busy) {
-                self.breakdown.contention = q(self.breakdown.contention + (end - t));
-                self.bank.breakdown.contention = q(self.bank.breakdown.contention + (end - t));
-                t = q(end);
+                self.breakdown.contention += end - t;
+                self.bank.breakdown.contention += end - t;
+                t = end;
                 continue;
             }
             break;
         }
-        let end = q(t + busy);
+        let end = t + busy;
         if self.bank.multiport {
-            let pos = self.bank.claims[bank].partition_point(|&(s, _)| s <= t);
-            self.bank.claims[bank].insert(pos, (t, self.view));
+            // Every claim before `next` ends by `t`, and the one at `next`
+            // starts at or after `t + busy`: the sorted insertion point.
+            self.bank.claims[bank].insert(next, (t, self.view));
         }
-        if end >= self.bank.free[bank] {
-            self.bank.free[bank] = end;
+        if end >= free {
+            self.bank.free[bank] = cycles(end);
             self.bank.owner[bank] = self.view;
         }
         self.accesses += 1;
         self.bank.accesses += 1;
-        self.waited = q(self.waited + (t - earliest));
-        self.bank.waited = q(self.bank.waited + (t - earliest));
-        t
+        self.waited += t - earliest;
+        self.bank.waited += t - earliest;
+        cycles(t)
+    }
+
+    /// Charges `wait` ticks spent behind a bank claim by `owner`: to bank
+    /// busy if this view made the claim, else to contention.
+    fn charge_claim(&mut self, owner: u32, wait: i64) {
+        if owner == self.view {
+            self.breakdown.bank_busy += wait;
+            self.bank.breakdown.bank_busy += wait;
+        } else {
+            self.breakdown.contention += wait;
+            self.bank.breakdown.contention += wait;
+        }
     }
 
     /// Per-bank earliest-free cycles, exposed so the simulator's
@@ -547,24 +675,11 @@ impl MemorySystem {
     ) {
         self.accesses += accesses * k;
         self.bank.accesses += accesses * k;
-        let kf = k as f64;
-        let translate = |c: &mut f64, d: f64| {
-            *c = ((*c * TICKS_PER_CYCLE).round() + kf * d) / TICKS_PER_CYCLE;
-        };
-        translate(&mut self.waited, waited_ticks);
-        translate(&mut self.breakdown.bank_busy, breakdown_ticks.bank_busy);
-        translate(&mut self.breakdown.refresh, breakdown_ticks.refresh);
-        translate(&mut self.breakdown.contention, breakdown_ticks.contention);
-        translate(&mut self.bank.waited, waited_ticks);
-        translate(
-            &mut self.bank.breakdown.bank_busy,
-            breakdown_ticks.bank_busy,
-        );
-        translate(&mut self.bank.breakdown.refresh, breakdown_ticks.refresh);
-        translate(
-            &mut self.bank.breakdown.contention,
-            breakdown_ticks.contention,
-        );
+        let k = k as i64;
+        self.waited += k * waited_ticks as i64;
+        self.bank.waited += k * waited_ticks as i64;
+        self.breakdown.advance(breakdown_ticks, k);
+        self.bank.breakdown.advance(breakdown_ticks, k);
     }
 
     /// Whether a strided element stream of `n` accesses starting at word
@@ -582,11 +697,12 @@ impl MemorySystem {
         if !self.config.contention.is_idle() {
             return false;
         }
-        let span = z * (n - 1) as f64;
-        if self.config.refresh_enabled {
-            let period = self.config.refresh_period as f64;
-            let len = self.config.refresh_len as f64;
-            let into = start.rem_euclid(period);
+        if let Some((period, len)) = self.refresh {
+            // The first and last elements' grid ticks, as `claim_stream`
+            // places them.
+            let first = ticks(start);
+            let span = ticks(start + z * (n - 1) as f64) - first;
+            let into = first.rem_euclid(period);
             if into < len || into + span >= period {
                 return false;
             }
@@ -633,15 +749,16 @@ impl MemorySystem {
             // each bank's claim list sorted.
             let mut bank = base.rem_euclid(banks);
             for e in 0..n {
-                self.bank.claims[bank as usize].push_back((q(start + z * e as f64), self.view));
+                self.bank.claims[bank as usize].push_back((ticks(start + z * e as f64), self.view));
                 bank = (bank + step) % banks;
             }
         }
         // Only the last visit to each bank determines its recovery time.
+        let busy = self.config.bank_busy as f64;
         let first = n.saturating_sub(r);
         let mut bank = (base + stride * i64::from(first)).rem_euclid(banks);
         for e in first..n {
-            self.bank.free[bank as usize] = q(start + z * e as f64 + self.config.bank_busy as f64);
+            self.bank.free[bank as usize] = cycles(ticks(start + z * e as f64 + busy));
             self.bank.owner[bank as usize] = self.view;
             bank = (bank + step) % banks;
         }
@@ -661,6 +778,12 @@ impl MemorySystem {
 mod tests {
     use super::*;
     use crate::contention::ContentionStream;
+
+    /// The float grid snap the tick arithmetic replaced — what the
+    /// reference models below accumulate with.
+    fn q(x: f64) -> f64 {
+        (x * 20.0).round() / 20.0
+    }
 
     fn quiet() -> MemorySystem {
         MemorySystem::new(MemConfig::c240().without_refresh())
@@ -923,6 +1046,34 @@ mod tests {
         let _ = MemorySystem::new(cfg).read(0, 0.0);
     }
 
+    /// The `f64` refresh and background-stream steps of a grant search:
+    /// the cycle `t` moves to when a refresh window or a background
+    /// claim (answered by the reference solver) blocks it, charged to
+    /// `w`; `None` when neither does.
+    fn float_refresh_or_background(
+        cfg: &MemConfig,
+        bank: usize,
+        t: f64,
+        w: &mut WaitBreakdown,
+    ) -> Option<f64> {
+        if cfg.refresh_enabled {
+            let len = cfg.refresh_len as f64;
+            if t.rem_euclid(cfg.refresh_period as f64) < len {
+                w.refresh = q(w.refresh + len);
+                return Some(q(t + len));
+            }
+        }
+        let busy = cfg.bank_busy as f64;
+        let end = cfg
+            .contention
+            .streams()
+            .iter()
+            .filter_map(|s| s.blocking_claim_end(bank as u32, cfg.banks, t, busy))
+            .fold(None, |acc, e| Some(acc.map_or(e, |a: f64| a.max(e))))?;
+        w.contention = q(w.contention + (end - t));
+        Some(q(end))
+    }
+
     /// Linear-scan multiport arbitration: the per-grant `retain` over a
     /// bank's claims and the first-overlap `find` that the indexed grant
     /// search replaces, with contention answered by the reference solver.
@@ -957,27 +1108,10 @@ mod tests {
                     t = end;
                     continue;
                 }
-                if self.cfg.refresh_enabled {
-                    let len = self.cfg.refresh_len as f64;
-                    if t.rem_euclid(self.cfg.refresh_period as f64) < len {
-                        w.refresh = q(w.refresh + len);
-                        t = q(t + len);
-                        continue;
-                    }
+                match float_refresh_or_background(&self.cfg, bank, t, w) {
+                    Some(later) => t = later,
+                    None => break,
                 }
-                let end = self
-                    .cfg
-                    .contention
-                    .streams()
-                    .iter()
-                    .filter_map(|s| s.blocking_claim_end(bank as u32, self.cfg.banks, t, busy))
-                    .fold(None, |acc, e| Some(acc.map_or(e, |a: f64| a.max(e))));
-                if let Some(end) = end {
-                    w.contention = q(w.contention + (end - t));
-                    t = q(end);
-                    continue;
-                }
-                break;
             }
             let pos = self.claims[bank].partition_point(|&(s, _)| s <= t);
             self.claims[bank].insert(pos, (t, view));
@@ -985,26 +1119,183 @@ mod tests {
         }
     }
 
+    /// A random configuration for the reference comparisons: bank count,
+    /// bank busy, refresh geometry and up to two background streams.
+    fn random_config(rng: &mut crate::TestRng) -> MemConfig {
+        let banks = [4u32, 8, 16, 32][rng.range(0, 3) as usize];
+        let mut cfg = MemConfig::c240().with_banks(banks).with_words(4096);
+        cfg.bank_busy = rng.range(1, 12);
+        cfg.refresh_enabled = rng.range(0, 1) == 1;
+        cfg.refresh_period = rng.range(40, 400);
+        cfg.refresh_len = rng.range(1, 8);
+        for _ in 0..rng.range(0, 2) {
+            let den = rng.range(2, 6) as u32;
+            cfg.contention = cfg.contention.with_stream(ContentionStream {
+                stride: 2 * rng.range(0, 20) + 1,
+                phase: rng.range(0, 100),
+                duty_num: 1,
+                duty_den: den,
+            });
+        }
+        cfg
+    }
+
+    /// Request patterns for [`multiport_case`].
+    #[derive(Clone, Copy)]
+    enum Requests {
+        /// Each view asks up to 20 cycles behind its own clock; the
+        /// horizon trails the slowest clock by 20 cycles.
+        NearClock,
+        /// One request in four reaches back anywhere between the horizon
+        /// and the view's clock, and the horizon trails by 400 cycles:
+        /// dozens of claims per bank are live, so the grant search starts
+        /// far from the newest. No background streams.
+        FarBehind,
+    }
+
+    /// Drives `views` ports over one multiport [`BankState`] and the
+    /// linear-scan reference with the same random requests; returns the
+    /// longest claim list seen.
+    fn multiport_case(seed: u64, requests: Requests) -> usize {
+        let mut rng = crate::TestRng::new(seed);
+        let mut cfg = random_config(&mut rng);
+        if matches!(requests, Requests::FarBehind) {
+            // Neighbor claims alone fill the banks here.
+            cfg.contention = ContentionConfig::idle();
+        }
+        let banks = cfg.banks;
+        let views = rng.range(2, 4) as usize;
+        let mut ports: Vec<MemorySystem> = (0..views)
+            .map(|v| {
+                let mut m = MemorySystem::new(cfg.clone());
+                m.set_view(v as u32);
+                m
+            })
+            .collect();
+        let mut shared = BankState::multiport(banks);
+        let mut reference = LinearBanks {
+            claims: vec![Vec::new(); banks as usize],
+            horizon: 0.0,
+            waits: vec![WaitBreakdown::default(); views],
+            cfg,
+        };
+        let (lag, every) = match requests {
+            Requests::NearClock => (20.0, 16),
+            Requests::FarBehind => (400.0, 128),
+        };
+        let mut clock = vec![0.0f64; views];
+        let mut longest = 0;
+        for i in 0..3_000u32 {
+            // Views take turns out of timestamp order, and each view
+            // sometimes asks for a cycle behind its own clock.
+            let v = rng.range(0, views as u64 - 1) as usize;
+            let addr = rng.range(0, 4095);
+            let earliest = match requests {
+                Requests::FarBehind if rng.range(0, 3) == 0 => {
+                    let from = reference.horizon.max(0.0);
+                    let back = rng.range(0, ((clock[v] - from) * 20.0) as u64) as f64;
+                    q(clock[v] - back / 20.0)
+                }
+                _ => q(clock[v] - rng.range(0, 400) as f64 / 20.0).max(0.0),
+            };
+            let expected = reference.grant(v as u32, addr, earliest);
+            ports[v].swap_bank_state(&mut shared);
+            let (granted, _) = ports[v].read(addr, earliest);
+            ports[v].swap_bank_state(&mut shared);
+            assert_eq!(granted, expected, "seed {seed}, request {i}");
+            let next = q(granted + rng.range(0, 60) as f64 / 20.0);
+            clock[v] = match requests {
+                Requests::NearClock => next,
+                // A request from far behind does not pull its view back.
+                Requests::FarBehind => clock[v].max(next),
+            };
+            longest = longest.max(shared.claims.iter().map(VecDeque::len).max().unwrap_or(0));
+            if i % every == every - 1 {
+                // Every later request starts at or above the horizon.
+                let h = clock.iter().copied().fold(f64::INFINITY, f64::min) - lag;
+                shared.set_horizon(h);
+                reference.horizon = reference.horizon.max(h);
+            }
+        }
+        for (v, port) in ports.iter().enumerate() {
+            assert_eq!(
+                port.wait_breakdown(),
+                reference.waits[v],
+                "seed {seed}, view {v}"
+            );
+        }
+        let live: usize = shared.claims.iter().map(VecDeque::len).sum();
+        let expected_live: usize = reference.claims.iter().map(Vec::len).sum();
+        assert_eq!(live, expected_live, "seed {seed}: horizon pruning");
+        longest
+    }
+
     #[test]
     fn multiport_grant_matches_the_linear_scan() {
         for seed in 0..120u64 {
-            let mut rng = crate::TestRng::new(seed);
-            let banks = [4u32, 8, 16, 32][rng.range(0, 3) as usize];
-            let mut cfg = MemConfig::c240().with_banks(banks).with_words(4096);
-            cfg.bank_busy = rng.range(1, 12);
-            cfg.refresh_enabled = rng.range(0, 1) == 1;
-            cfg.refresh_period = rng.range(40, 400);
-            cfg.refresh_len = rng.range(1, 8);
-            for _ in 0..rng.range(0, 2) {
-                let den = rng.range(2, 6) as u32;
-                cfg.contention = cfg.contention.with_stream(ContentionStream {
-                    stride: 2 * rng.range(0, 20) + 1,
-                    phase: rng.range(0, 100),
-                    duty_num: 1,
-                    duty_den: den,
-                });
+            multiport_case(seed, Requests::NearClock);
+        }
+        let longest = (1_000..1_030u64)
+            .map(|seed| multiport_case(seed, Requests::FarBehind))
+            .max()
+            .unwrap_or(0);
+        assert!(longest >= 64, "claim lists stayed short ({longest})");
+    }
+
+    /// The single-port grant as `f64` code: one earliest-free cursor per
+    /// bank, every sum snapped with [`q`], `rem_euclid` for refresh.
+    struct CursorBanks {
+        cfg: MemConfig,
+        free: Vec<f64>,
+        owner: Vec<u32>,
+        waited: Vec<f64>,
+        waits: Vec<WaitBreakdown>,
+    }
+
+    impl CursorBanks {
+        fn grant(&mut self, view: u32, addr: u64, earliest: f64) -> f64 {
+            let bank = bank_of(addr, self.cfg.banks) as usize;
+            let earliest = q(earliest.max(0.0));
+            let busy = self.cfg.bank_busy as f64;
+            let w = &mut self.waits[view as usize];
+            let mut t = earliest;
+            loop {
+                if t < self.free[bank] {
+                    let wait = self.free[bank] - t;
+                    if self.owner[bank] == view {
+                        w.bank_busy = q(w.bank_busy + wait);
+                    } else {
+                        w.contention = q(w.contention + wait);
+                    }
+                    t = self.free[bank];
+                    continue;
+                }
+                match float_refresh_or_background(&self.cfg, bank, t, w) {
+                    Some(later) => t = later,
+                    None => break,
+                }
             }
-            let views = rng.range(2, 4) as usize;
+            let end = q(t + busy);
+            if end >= self.free[bank] {
+                self.free[bank] = end;
+                self.owner[bank] = view;
+            }
+            let waited = &mut self.waited[view as usize];
+            *waited = q(*waited + (t - earliest));
+            t
+        }
+    }
+
+    #[test]
+    fn single_port_grant_matches_the_float_cursor() {
+        for seed in 0..200u64 {
+            let mut rng = crate::TestRng::new(seed);
+            let cfg = random_config(&mut rng);
+            if cfg.validate().is_err() {
+                // Saturating contention: no grant search could end.
+                continue;
+            }
+            let views = rng.range(1, 3) as usize;
             let mut ports: Vec<MemorySystem> = (0..views)
                 .map(|v| {
                     let mut m = MemorySystem::new(cfg.clone());
@@ -1012,44 +1303,151 @@ mod tests {
                     m
                 })
                 .collect();
-            let mut shared = BankState::multiport(banks);
-            let mut reference = LinearBanks {
-                claims: vec![Vec::new(); banks as usize],
-                horizon: 0.0,
+            let mut shared = BankState::new(cfg.banks);
+            let mut reference = CursorBanks {
+                free: vec![0.0; cfg.banks as usize],
+                owner: vec![0; cfg.banks as usize],
+                waited: vec![0.0; views],
                 waits: vec![WaitBreakdown::default(); views],
                 cfg,
             };
-            let mut clock = vec![0.0f64; views];
-            for i in 0..3_000u32 {
-                // Views take turns out of timestamp order, and each view
-                // sometimes asks for a cycle behind its own clock.
+            let mut clock = 0.0f64;
+            for i in 0..2_000u32 {
                 let v = rng.range(0, views as u64 - 1) as usize;
                 let addr = rng.range(0, 4095);
-                let earliest = q(clock[v] - rng.range(0, 400) as f64 / 20.0).max(0.0);
+                // Mostly forward in 1/20-cycle steps; one request in
+                // eight goes back in time, some of them off the grid.
+                let earliest = match rng.range(0, 7) {
+                    0 => clock - rng.range(0, 2_000) as f64 / 7.0,
+                    _ => clock,
+                };
                 ports[v].swap_bank_state(&mut shared);
                 let (granted, _) = ports[v].read(addr, earliest);
                 ports[v].swap_bank_state(&mut shared);
-                let expected = reference.grant(v as u32, addr, earliest);
-                assert_eq!(granted, expected, "seed {seed}, request {i}");
-                clock[v] = q(granted + rng.range(0, 60) as f64 / 20.0);
-                if i % 16 == 15 {
-                    // Every later request starts at least 20 cycles below
-                    // its view's clock.
-                    let h = clock.iter().copied().fold(f64::INFINITY, f64::min) - 20.0;
-                    shared.set_horizon(h);
-                    reference.horizon = reference.horizon.max(h);
-                }
+                assert_eq!(
+                    granted,
+                    reference.grant(v as u32, addr, earliest),
+                    "seed {seed}, request {i}"
+                );
+                clock = q(clock + rng.range(0, 40) as f64 / 20.0);
             }
             for (v, port) in ports.iter().enumerate() {
-                assert_eq!(
-                    port.wait_breakdown(),
-                    reference.waits[v],
-                    "seed {seed}, view {v}"
-                );
+                assert_eq!(port.wait_breakdown(), reference.waits[v], "seed {seed}");
+                assert_eq!(port.wait_cycles(), reference.waited[v], "seed {seed}");
             }
-            let live: usize = shared.claims.iter().map(VecDeque::len).sum();
-            let expected_live: usize = reference.claims.iter().map(Vec::len).sum();
-            assert_eq!(live, expected_live, "seed {seed}: horizon pruning");
+            assert_eq!(shared.free, reference.free, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn tick_rounding_matches_the_float_snap() {
+        let mut rng = crate::TestRng::new(7);
+        for _ in 0..100_000 {
+            let x = rng.range(0, 1 << 40) as f64 / 1_000.0;
+            assert_eq!(cycles(ticks(x)), q(x), "{x}");
+            assert_eq!(cycles(ticks(-x)), q(-x), "{}", -x);
+        }
+        // Exact halves round away from zero, as `f64::round` does.
+        for x in [0.025, 0.075, 1.125, -0.025, -2.475] {
+            assert_eq!(cycles(ticks(x)), q(x), "{x}");
+        }
+        assert_eq!(ticks(f64::NAN), 0);
+        assert_eq!(ticks(f64::INFINITY), i64::MAX);
+        assert_eq!(ticks(f64::NEG_INFINITY), i64::MIN);
+    }
+
+    #[test]
+    fn tick_refresh_check_matches_the_float_remainder() {
+        for (period, len) in [(400u64, 8u64), (40, 1), (97, 13), (400, 399)] {
+            let (pt, lt) = (whole_ticks(period), whole_ticks(len));
+            for base in [0u64, 123_456, 1 << 40, (1 << 40) + 17] {
+                // Start each scan a window before a period boundary.
+                let first = whole_ticks(base - base % period).max(pt) - pt;
+                for n in first..first + 4 * pt {
+                    let float = cycles(n).rem_euclid(period as f64) < len as f64;
+                    assert_eq!(
+                        in_refresh(n, pt, lt),
+                        float,
+                        "tick {n}, period {period}, len {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_refresh_period_opens_no_window() {
+        // Unvalidated: refresh on with a zero period. The float check's
+        // `rem_euclid(0.0)` was NaN, so no request ever saw a window.
+        let mut zero = MemConfig::c240().with_contention(ContentionConfig::mixed(2));
+        zero.refresh_period = 0;
+        let off = zero.clone().without_refresh();
+        let mut a = MemorySystem::new(zero);
+        let mut b = MemorySystem::new(off);
+        let mut t = 0.0;
+        for i in 0..2_000u64 {
+            let (g, _) = a.read(i * 3, t);
+            assert_eq!(g, b.read(i * 3, t).0, "request {i}");
+            t = g + 0.5;
+        }
+        assert_eq!(a.wait_breakdown(), b.wait_breakdown());
+        assert_eq!(a.wait_breakdown().refresh, 0.0);
+        let quiet_zero = {
+            let mut c = MemConfig::c240();
+            c.refresh_period = 0;
+            MemorySystem::new(c)
+        };
+        assert!(quiet_zero.stream_conflict_free(0, 1, 64, 0.0, 1.0));
+    }
+
+    #[test]
+    fn closed_form_stream_matches_per_element_grants() {
+        for seed in 0..300u64 {
+            let mut rng = crate::TestRng::new(seed);
+            let mut cfg = random_config(&mut rng);
+            cfg.contention = ContentionConfig::idle();
+            if cfg.validate().is_err() {
+                continue;
+            }
+            let multiport = rng.range(0, 1) == 1;
+            let fresh = |cfg: &MemConfig| {
+                let mut m = MemorySystem::new(cfg.clone());
+                if multiport {
+                    m.swap_bank_state(&mut BankState::multiport(cfg.banks));
+                }
+                m
+            };
+            let (mut closed, mut stepped) = (fresh(&cfg), fresh(&cfg));
+            let mut start = 0.0;
+            for _ in 0..40 {
+                let base = rng.range(0, 2_000) as i64;
+                let stride = rng.range(0, 40) as i64 - 20;
+                let n = rng.range(1, 128) as u32;
+                let z = [1.0, 1.35, 2.0, 4.0][rng.range(0, 3) as usize];
+                start = q(start + rng.range(0, 4_000) as f64 / 20.0);
+                if !closed.stream_conflict_free(base, stride, n, start, z) {
+                    continue;
+                }
+                closed.claim_stream(base, stride, n, start, z);
+                for e in 0..n {
+                    let at = q(start + z * f64::from(e));
+                    let addr = (base + stride * i64::from(e)).rem_euclid(4096) as u64;
+                    assert_eq!(stepped.read(addr, at).0, at, "seed {seed}, element {e}");
+                }
+                start = q(start + z * f64::from(n));
+            }
+            assert_eq!(closed.bank_state(), stepped.bank_state(), "seed {seed}");
+            assert_eq!(closed.bank.claims, stepped.bank.claims, "seed {seed}");
+            assert_eq!(closed.access_count(), stepped.access_count());
+            assert_eq!(stepped.wait_cycles(), 0.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the maximum")]
+    fn oversized_bank_busy_is_refused_at_construction() {
+        let mut cfg = MemConfig::c240();
+        cfg.bank_busy = MAX_BANK_BUSY + 1;
+        let _ = MemorySystem::new(cfg);
     }
 }

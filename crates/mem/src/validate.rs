@@ -5,8 +5,8 @@
 //! that used to be an `assert!` in a constructor needs a typed,
 //! recoverable form: [`MemConfig::validate`] and [`CacheConfig::validate`]
 //! return a [`MemConfigError`] instead of panicking, and the panicking
-//! builders (`with_banks`, `with_stream`, `with_duty`) remain as thin
-//! compatibility wrappers over new `try_` constructors.
+//! builders (`with_banks`, `with_stream`) remain as thin compatibility
+//! wrappers over new `try_` constructors.
 
 use std::error::Error;
 use std::fmt;
@@ -19,6 +19,13 @@ use crate::system::MemConfig;
 /// hostile sweep point cannot make the simulator allocate per-bank state
 /// without bound.
 pub const MAX_BANKS: u32 = 4096;
+
+/// Largest accepted bank busy (recovery) time in cycles. The C-240's is
+/// 8. The memory system runs its grant search in integer 1/20-cycle
+/// ticks and reports them as `f64` cycles, which is exact only below 2⁵³
+/// ticks; the cap keeps a hostile sweep point's claim ends, waits and
+/// cycle counts far inside that range instead of overflowing the ticks.
+pub const MAX_BANK_BUSY: u64 = 1024;
 
 /// Largest accepted data-space size in 8-byte words (1 GiB of data).
 /// The C-240 configuration uses 1 Mi words (8 MiB).
@@ -44,6 +51,11 @@ pub enum MemConfigError {
     },
     /// `bank_busy == 0`: a bank must be busy for at least one cycle.
     ZeroBankBusy,
+    /// `bank_busy` beyond [`MAX_BANK_BUSY`].
+    BankBusyTooLong {
+        /// The offending busy time in cycles.
+        bank_busy: u64,
+    },
     /// Refresh enabled with `refresh_period == 0`.
     ZeroRefreshPeriod,
     /// Refresh enabled with a window at least as long as the period, so
@@ -116,6 +128,10 @@ impl fmt::Display for MemConfigError {
             MemConfigError::ZeroBankBusy => {
                 write!(f, "bank busy time must be at least one cycle")
             }
+            MemConfigError::BankBusyTooLong { bank_busy } => write!(
+                f,
+                "bank busy time of {bank_busy} cycles exceeds the maximum of {MAX_BANK_BUSY}"
+            ),
             MemConfigError::ZeroRefreshPeriod => {
                 write!(f, "refresh is enabled but the refresh period is zero")
             }
@@ -219,7 +235,7 @@ impl ContentionStream {
         Ok(())
     }
 
-    /// Fallible form of [`ContentionStream::with_duty`].
+    /// The same stream claiming `num/den` of its bank visits.
     ///
     /// # Errors
     ///
@@ -278,6 +294,11 @@ impl MemConfig {
         }
         if self.bank_busy == 0 {
             return Err(MemConfigError::ZeroBankBusy);
+        }
+        if self.bank_busy > MAX_BANK_BUSY {
+            return Err(MemConfigError::BankBusyTooLong {
+                bank_busy: self.bank_busy,
+            });
         }
         if self.refresh_enabled {
             if self.refresh_period == 0 {
@@ -387,6 +408,23 @@ mod tests {
         c.refresh_enabled = false;
         c.refresh_period = 0;
         assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn bank_busy_is_capped() {
+        let mut c = MemConfig::c240();
+        c.bank_busy = MAX_BANK_BUSY;
+        assert_eq!(c.validate(), Ok(()));
+        c.bank_busy = MAX_BANK_BUSY + 1;
+        assert_eq!(
+            c.validate(),
+            Err(MemConfigError::BankBusyTooLong {
+                bank_busy: MAX_BANK_BUSY + 1
+            })
+        );
+        assert!(MemConfigError::BankBusyTooLong { bank_busy: 5000 }
+            .to_string()
+            .contains("5000"));
     }
 
     #[test]
